@@ -50,7 +50,7 @@ func BenchmarkFigure6HWSVt(b *testing.B) {
 // --- Figure 7: I/O subsystems -------------------------------------------
 
 func benchModes(b *testing.B, run func(Mode) (metric float64, unit string)) {
-	for _, mode := range Modes {
+	for _, mode := range AllModes() {
 		b.Run(mode.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				m, unit := run(mode)

@@ -40,30 +40,16 @@ type ParallelBaseline struct {
 	Speedup    float64 `json:"speedup"`
 }
 
-// ShardScalingPoint is one shard count's FleetReplay measurement. The
-// digest is asserted equal to the single-heap run before the point is
-// recorded, so every row describes the same simulation.
-type ShardScalingPoint struct {
-	Shards       int     `json:"shards"`
-	Events       uint64  `json:"events"`
-	WallMs       float64 `json:"wall_ms"`
-	NsPerEvent   float64 `json:"ns_per_event"`
-	EventsPerSec float64 `json:"events_per_sec"`
-	Speedup      float64 `json:"speedup"`
-	Efficiency   float64 `json:"efficiency"`
-}
-
 // BenchReport is the JSON document -bench emits.
 type BenchReport struct {
-	Date         string              `json:"date"`
-	GoVersion    string              `json:"go_version"`
-	GOMAXPROCS   int                 `json:"gomaxprocs"`
-	Quick        bool                `json:"quick"`
-	Engine       []BenchResult       `json:"engine"`
-	Experiments  []BenchResult       `json:"experiments"`
-	EventsPerSec float64             `json:"simulated_events_per_sec"`
-	Parallel     ParallelBaseline    `json:"parallel"`
-	ShardScaling []ShardScalingPoint `json:"shard_scaling"`
+	Date         string           `json:"date"`
+	GoVersion    string           `json:"go_version"`
+	GOMAXPROCS   int              `json:"gomaxprocs"`
+	Quick        bool             `json:"quick"`
+	Engine       []BenchResult    `json:"engine"`
+	Experiments  []BenchResult    `json:"experiments"`
+	EventsPerSec float64          `json:"simulated_events_per_sec"`
+	Parallel     ParallelBaseline `json:"parallel"`
 }
 
 func toResult(name string, r testing.BenchmarkResult) BenchResult {
@@ -179,65 +165,9 @@ func measureEventsPerSec(quick bool) float64 {
 		n = 100
 	}
 	start := time.Now()
-	_, events, _ := exp.NetLatencyEvents(hv.ModeSWSVt, n)
+	_, events, _ := exp.Default.NetLatencyEvents(hv.ModeSWSVt, n)
 	elapsed := time.Since(start)
 	return float64(events) / elapsed.Seconds()
-}
-
-// measureShardScaling runs the FleetReplay macro — every context of the
-// paper's 2x8x2 testbed ticking, with cross-socket IPIs — at shard
-// counts 1, 2, 4, 8 and reports wall-clock ns/event and simulated
-// events/sec per count. Each run's digest must match the single-heap
-// run (the sharded engine's merge is order-exact), so the rows measure
-// pure engine throughput on an identical event stream. Each count is
-// timed best-of-3 (best-of-1 under -quick) to damp scheduler noise;
-// speedup is relative to shards=1 and efficiency is speedup/shards.
-// Speedup above 1 needs real cores: on a single-CPU runner the windowed
-// shards serialize and the barrier overhead shows up as a slowdown.
-func measureShardScaling(quick bool) ([]ShardScalingPoint, error) {
-	spec := exp.DefaultFleetReplaySpec()
-	reps := 3
-	if quick {
-		spec.Dur = 5 * sim.Millisecond
-		reps = 1
-	}
-	exp.FleetReplay(spec) // warm-up: page in code before timing
-	var out []ShardScalingPoint
-	var ref exp.FleetReplayResult
-	for _, shards := range []int{1, 2, 4, 8} {
-		s := spec
-		s.Shards = shards
-		var best time.Duration
-		var res exp.FleetReplayResult
-		for i := 0; i < reps; i++ {
-			start := time.Now()
-			res = exp.FleetReplay(s)
-			if wall := time.Since(start); i == 0 || wall < best {
-				best = wall
-			}
-		}
-		if shards == 1 {
-			ref = res
-		} else if res.Digest != ref.Digest || res.Events != ref.Events {
-			return nil, fmt.Errorf("svtbench: shard determinism violated:\n  %s\n  %s",
-				res.FleetReplayLine(), ref.FleetReplayLine())
-		}
-		pt := ShardScalingPoint{
-			Shards:       shards,
-			Events:       res.Events,
-			WallMs:       float64(best.Microseconds()) / 1e3,
-			NsPerEvent:   float64(best.Nanoseconds()) / float64(res.Events),
-			EventsPerSec: float64(res.Events) / best.Seconds(),
-		}
-		if shards == 1 {
-			pt.Speedup, pt.Efficiency = 1, 1
-		} else {
-			pt.Speedup = out[0].WallMs / pt.WallMs
-			pt.Efficiency = pt.Speedup / float64(shards)
-		}
-		out = append(out, pt)
-	}
-	return out, nil
 }
 
 // measureParallel times the -all -quick section pipeline serially and on
@@ -294,17 +224,6 @@ func runBench(w io.Writer, outPath string, quick bool, workers int) error {
 	rep.Parallel = measureParallel(workers)
 	fmt.Fprintf(w, "parallel -all -quick: serial %.0f ms, %d workers %.0f ms, speedup %.2fx\n",
 		rep.Parallel.SerialMs, rep.Parallel.Workers, rep.Parallel.ParallelMs, rep.Parallel.Speedup)
-
-	fmt.Fprintln(w, "shard scaling (fleet replay, 2x8x2, digest-checked vs single heap):")
-	scaling, err := measureShardScaling(quick)
-	if err != nil {
-		return err
-	}
-	rep.ShardScaling = scaling
-	for _, pt := range rep.ShardScaling {
-		fmt.Fprintf(w, "  shards=%d %10d events %9.1f ms %8.1f ns/event %12.0f events/sec speedup %.2fx efficiency %.2f\n",
-			pt.Shards, pt.Events, pt.WallMs, pt.NsPerEvent, pt.EventsPerSec, pt.Speedup, pt.Efficiency)
-	}
 
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {

@@ -14,14 +14,10 @@
 // -host topology per mode, letting the simulated L0 scheduler place each
 // VM's threads, and reports per-VM latency under contention plus the max
 // density meeting the -slo p99 target. The sweep is byte-identical at
-// any -parallel width and any -shards count (-shards splits the
-// virtual-time engine into per-socket-group shards that advance in
-// conservative lookahead windows; the merge is order-exact, so output
-// never changes — only wall-clock time does).
+// any -parallel width.
 //
 //	svtsim -host 2x8x2 -vms 16 -density
 //	svtsim -host 1x4x2 -vms 8 -density -slo 250 -parallel 8
-//	svtsim -host 2x8x2 -vms 16 -density -shards 4
 //
 // Observability: -trace out.json writes a Perfetto / chrome://tracing
 // timeline of the run (one track per hardware context), -metrics out.csv
@@ -54,10 +50,10 @@
 // netstack flows and reports goodput, p50/p99/p999 tail latency, and
 // SLO-violation windows. Scenarios: steady, overload, burst, storm
 // (concurrent gang migrations), faults (seeded segment loss), or all.
-// Byte-identical at any -parallel width and -shards count.
+// Byte-identical at any -parallel width.
 //
 //	svtsim -lb 4 -lb-scenario overload -host 1x4x2
-//	svtsim -lb 8 -lb-scenario all -shards 2
+//	svtsim -lb 8 -lb-scenario all -parallel 2
 //
 // Architecture ports: -port selects the ISA backend — "x86" (default;
 // VT-x exits, LAPIC, paper Table 1 costs) or "armlike" (trap-to-EL2
@@ -151,7 +147,6 @@ func main() {
 		density   = flag.Bool("density", false, "run the fleet consolidation sweep across all modes, then exit")
 		slo       = flag.Float64("slo", 500, "p99 latency SLO in microseconds judged by -density")
 		par       = flag.Int("parallel", 0, "worker-pool width for sweeps (0 = GOMAXPROCS; results identical at any width)")
-		shards    = flag.Int("shards", 1, "engine shard count for fleet experiments (<=1 = single heap; results identical at any count)")
 		trace     = flag.String("trace", "", "write a Perfetto/chrome://tracing JSON timeline of the run to this file")
 		metrics   = flag.String("metrics", "", "write the metrics registry to this file (.json extension selects JSON, CSV otherwise)")
 		summary   = flag.Int("summary", 0, "print the top-N trace span summary after the run")
@@ -184,7 +179,7 @@ func main() {
 	if *submit != "" {
 		os.Exit(runRemote(*submit, remoteFlags{
 			mode: *modeStr, workload: *workload, hostStr: *hostStr, port: *portStr,
-			n: *n, fps: *fps, vms: *vms, shards: *shards,
+			n: *n, fps: *fps, vms: *vms,
 			dur: *dur, rate: *rate, slo: *slo,
 			density: *density, storm: *storm, checkN: *checkN,
 			stormSeed: *stormSeed, checkSeed: *checkSeed,
@@ -232,12 +227,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	if *shards > topo.Cores() {
-		fmt.Fprintf(os.Stderr, "-shards %d: host %s has only %d cores\n", *shards, topo, topo.Cores())
-		os.Exit(2)
-	}
 	opts := []svtsim.Option{svtsim.WithHostTopology(topo), svtsim.WithParallelism(*par),
-		svtsim.WithShards(*shards), svtsim.WithPort(*portStr)}
+		svtsim.WithPort(*portStr)}
 	if spec, err := buildFaultSpec(*faults, *faultRate, *faultSeed); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
@@ -72,8 +73,7 @@ type DensityPoint struct {
 	IPIsCore     uint64
 	IPIsNUMA     uint64
 	// Events is the phase-2 replay's engine dispatch count — a pure
-	// simulation quantity, byte-identical at any shard count or pool
-	// width.
+	// simulation quantity, byte-identical at any pool width.
 	Events uint64
 }
 
@@ -291,17 +291,14 @@ func (s *Session) consolidate(mode hv.Mode, k int, cache *vmCache) DensityPoint 
 // plane so storm callers can read the gang and fire tallies.
 func (s *Session) consolidateStorm(mode hv.Mode, k int, cache *vmCache, plan *host.StormPlan, spec *fault.Spec) (DensityPoint, host.ReplayResult, *fault.Plane) {
 	topo := s.Topology()
-	h, err := host.NewSharded(topo, s.HostParams(), s.Shards())
+	h, err := host.New(topo, s.HostParams())
 	if err != nil {
 		panic("exp: " + err.Error())
 	}
 	var plane *fault.Plane
 	if spec != nil {
 		if plane = spec.Build(h.Eng); plane != nil {
-			// Arm every shard: LAPIC sites consult their own shard's
-			// injector, and a sharded host with faults armed runs the
-			// exact serial merge so consult order matches shards=1.
-			h.ArmFaults(plane)
+			h.Eng.SetFaults(plane)
 		}
 	}
 
@@ -384,22 +381,6 @@ func (s *Session) consolidateStorm(mode hv.Mode, k int, cache *vmCache, plan *ho
 // microseconds, judged against the worst per-VM p99). kmax <= 0 uses
 // the topology's context count.
 func (s *Session) DensitySweep(modes []hv.Mode, kmax int, sloUs float64) []DensityResult {
-	topo := s.Topology()
-	if kmax <= 0 {
-		kmax = topo.Contexts()
-	}
-	out := make([]DensityResult, len(modes))
-	for mi, mode := range modes {
-		res := DensityResult{Mode: mode, Topo: topo, SLOUs: sloUs}
-		cache := &vmCache{m: make(map[vmKey]vmRun)}
-		for k := 1; k <= kmax; k++ {
-			pt := s.consolidate(mode, k, cache)
-			res.Points = append(res.Points, pt)
-			if pt.WorstP99Us <= sloUs {
-				res.MaxDensity = k
-			}
-		}
-		out[mi] = res
-	}
+	out, _ := s.DensitySweepJob(context.Background(), modes, kmax, sloUs, nil)
 	return out
 }

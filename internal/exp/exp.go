@@ -25,12 +25,6 @@ func AllModes() []hv.Mode {
 	return []hv.Mode{hv.ModeBaseline, hv.ModeSWSVt, hv.ModeHWSVt}
 }
 
-// Modes under test, in the paper's presentation order.
-//
-// Deprecated: use AllModes, which cannot be mutated out from under
-// concurrent sweeps.
-var Modes = AllModes()
-
 // cpuidLoop is the §6.1 micro-benchmark program (used at every
 // virtualization level).
 type cpuidLoop struct {

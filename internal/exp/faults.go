@@ -1,13 +1,13 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 
 	"svtsim/internal/cpu"
 	"svtsim/internal/fault"
 	"svtsim/internal/hv"
 	"svtsim/internal/machine"
-	"svtsim/internal/parallel"
 	"svtsim/internal/sim"
 )
 
@@ -162,11 +162,6 @@ type FaultCell struct {
 // byte-identical to running the cells serially (pinned by
 // TestFaultSweepGridParallelDeterminism).
 func (s *Session) FaultSweepGrid(cells []FaultCell) []FaultSweepResult {
-	return parallel.MapN(s.Workers(), len(cells), func(i int) FaultSweepResult {
-		c := cells[i]
-		if c.Storms > 0 {
-			return s.FaultStormSweep(c.Mode, c.Spec, c.N, c.Storms, c.StormSeed)
-		}
-		return s.FaultSweep(c.Mode, c.Spec, c.N, nil)
-	})
+	out, _ := s.FaultSweepGridJob(context.Background(), cells, nil)
+	return out
 }

@@ -21,7 +21,7 @@ func TestFaultSweepLostWakeupsAndIPIs(t *testing.T) {
 			{Site: fault.SiteIPI, Rate: 0.05, Drop: true},
 		},
 	}
-	r := FaultSweep(hv.ModeSWSVt, spec, 400, nil)
+	r := Default.FaultSweep(hv.ModeSWSVt, spec, 400, nil)
 	t.Logf("%s", r.StatsLine())
 	if !r.Completed {
 		t.Fatal("fault sweep did not complete")
@@ -40,7 +40,7 @@ func TestFaultSweepLostWakeupsAndIPIs(t *testing.T) {
 	}
 	// The healthy run of the same workload finishes in ~3.5ms; the faulty
 	// run must cost more (watchdog waits) but still terminate promptly.
-	healthy := FaultSweep(hv.ModeSWSVt, nil, 400, nil)
+	healthy := Default.FaultSweep(hv.ModeSWSVt, nil, 400, nil)
 	if r.Total <= healthy.Total {
 		t.Fatalf("faulty run (%v) not slower than healthy run (%v)", r.Total, healthy.Total)
 	}
@@ -61,7 +61,7 @@ func TestFaultSweepBreakerTripsAndRecovers(t *testing.T) {
 			{Site: fault.SiteSVtWakeup, Every: 1, After: 50, Limit: 20, Drop: true},
 		},
 	}
-	r := FaultSweep(hv.ModeSWSVt, spec, 400, nil)
+	r := Default.FaultSweep(hv.ModeSWSVt, spec, 400, nil)
 	t.Logf("%s", r.StatsLine())
 	if !r.Completed {
 		t.Fatal("run did not complete")
@@ -102,8 +102,8 @@ func TestFaultSweepDeterminism(t *testing.T) {
 			},
 		}
 	}
-	a := FaultSweep(hv.ModeSWSVt, mk(), 300, nil)
-	b := FaultSweep(hv.ModeSWSVt, mk(), 300, nil)
+	a := Default.FaultSweep(hv.ModeSWSVt, mk(), 300, nil)
+	b := Default.FaultSweep(hv.ModeSWSVt, mk(), 300, nil)
 	if a.StatsLine() != b.StatsLine() {
 		t.Fatalf("same fault seed diverged:\n  %s\n  %s", a.StatsLine(), b.StatsLine())
 	}
@@ -111,7 +111,7 @@ func TestFaultSweepDeterminism(t *testing.T) {
 	// or the determinism check above proves nothing.
 	c := mk()
 	c.Seed = 100
-	d := FaultSweep(hv.ModeSWSVt, c, 300, nil)
+	d := Default.FaultSweep(hv.ModeSWSVt, c, 300, nil)
 	if d.StatsLine() == a.StatsLine() {
 		t.Fatal("changing the fault seed changed nothing; injection looks seed-independent")
 	}
@@ -121,8 +121,8 @@ func TestFaultSweepDeterminism(t *testing.T) {
 // harness must reproduce the plain experiment bit-for-bit.
 func TestFaultSweepDisabledMatchesBaseline(t *testing.T) {
 	for _, mode := range []hv.Mode{hv.ModeSWSVt, hv.ModeBaseline} {
-		r := FaultSweep(mode, nil, 200, nil)
-		plain := CPUIDNested(mode, 200)
+		r := Default.FaultSweep(mode, nil, 200, nil)
+		plain := Default.CPUIDNested(mode, 200)
 		if r.PerOp != plain.PerOp {
 			t.Fatalf("%v: fault harness perturbed a healthy run: %v != %v", mode, r.PerOp, plain.PerOp)
 		}
@@ -141,12 +141,12 @@ func TestFaultSweepDelayedIRQs(t *testing.T) {
 			{Site: fault.SiteIRQ, Rate: 0.5, Delay: 20 * sim.Microsecond, Jitter: 10 * sim.Microsecond},
 		},
 	}
-	SetFaults(spec)
-	defer SetFaults(nil)
-	r := DiskLatency(hv.ModeSWSVt, false, 50)
+	Default.SetFaults(spec)
+	defer Default.SetFaults(nil)
+	r := Default.DiskLatency(hv.ModeSWSVt, false, 50)
 	healthySpec := (*fault.Spec)(nil)
-	SetFaults(healthySpec)
-	h := DiskLatency(hv.ModeSWSVt, false, 50)
+	Default.SetFaults(healthySpec)
+	h := Default.DiskLatency(hv.ModeSWSVt, false, 50)
 	if r.MeanUs <= h.MeanUs {
 		t.Fatalf("delayed IRQs did not slow disk reads: %0.1fus <= %0.1fus", r.MeanUs, h.MeanUs)
 	}
@@ -176,9 +176,9 @@ func TestFaultSweepGridParallelDeterminism(t *testing.T) {
 	}
 	defer parallel.SetWorkers(0)
 	parallel.SetWorkers(1)
-	serial := FaultSweepGrid(mkCells())
+	serial := Default.FaultSweepGrid(mkCells())
 	parallel.SetWorkers(8)
-	par := FaultSweepGrid(mkCells())
+	par := Default.FaultSweepGrid(mkCells())
 	if len(serial) != len(par) {
 		t.Fatalf("cell counts differ: %d vs %d", len(serial), len(par))
 	}

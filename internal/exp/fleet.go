@@ -1,14 +1,11 @@
 package exp
 
-// FleetReplay is the shard-scaling macrobenchmark: a pure event-engine
-// workload at fleet-host scale. Every hardware context of the topology
-// runs a self-rearming tick train on its own engine shard, and every
-// CrossEvery-th tick fires a reschedule IPI at the context half the
-// fleet away — a cross-socket hop, so on a sharded host the message
-// crosses shards with at least one lookahead of latency. The workload
-// is RNG-free and closed over virtual time only, so its digest must be
-// identical at every shard count; svtbench asserts exactly that while
-// measuring events/sec at shards = 1, 2, 4, 8.
+// FleetReplay is a pure event-engine macro at fleet-host scale: every
+// hardware context of the topology runs a self-rearming tick train on
+// the host engine, and every CrossEvery-th tick fires a reschedule IPI
+// at the context half the fleet away — a cross-socket hop. The workload
+// is RNG-free and closed over virtual time only, so its digest is a
+// pure function of the spec; svtsimd serves it as the fleet kind.
 
 import (
 	"context"
@@ -24,35 +21,30 @@ import (
 type FleetReplaySpec struct {
 	Topo host.Topology
 	P    host.Params
-	// Shards is the engine shard count (<= 1 runs the single heap).
-	Shards int
 	// Dur is the simulated duration.
 	Dur sim.Time
 	// Tick is the base per-context tick period; each context adds a
-	// small deterministic stagger so shards never run in lockstep.
+	// small deterministic stagger so contexts never run in lockstep.
 	Tick sim.Time
 	// CrossEvery sends a cross-socket IPI every Nth tick (0 disables).
 	CrossEvery int
 }
 
-// DefaultFleetReplaySpec is the svtbench configuration: the paper's
+// DefaultFleetReplaySpec is the default configuration: the paper's
 // 2x8x2 testbed host, 20 simulated milliseconds of 250ns ticks, an IPI
 // across the fleet every 64th tick.
 func DefaultFleetReplaySpec() FleetReplaySpec {
 	return FleetReplaySpec{
 		Topo:       host.DefaultTopology,
 		P:          host.DefaultParams(),
-		Shards:     1,
 		Dur:        20 * sim.Millisecond,
 		Tick:       250 * sim.Nanosecond,
 		CrossEvery: 64,
 	}
 }
 
-// FleetReplayResult is one FleetReplay run's outcome. Everything but
-// Shards is invariant across shard counts.
+// FleetReplayResult is one FleetReplay run's outcome.
 type FleetReplayResult struct {
-	Shards int
 	// Events is the total engine dispatches (ticks + IPI deliveries).
 	Events uint64
 	// Ticks and IPIs break Events down by kind.
@@ -77,17 +69,17 @@ func FleetReplay(spec FleetReplaySpec) FleetReplayResult {
 // (events fire at their virtual times regardless of how the advance is
 // chopped), so the digest is independent of the window count.
 func fleetReplay(ctx context.Context, spec FleetReplaySpec, pr ProgressFunc) (FleetReplayResult, error) {
-	h, err := host.NewSharded(spec.Topo, spec.P, spec.Shards)
+	h, err := host.New(spec.Topo, spec.P)
 	if err != nil {
 		panic("exp: " + err.Error())
 	}
+	eng := h.Eng
 	nctx := spec.Topo.Contexts()
 	ticks := make([]uint64, nctx)
 	for c := 0; c < nctx; c++ {
 		c := host.CtxID(c)
-		eng := h.EngineFor(c)
 		// Deterministic heterogeneity: periods and phases differ per
-		// context so the shard heaps see realistic time diversity.
+		// context so the heap sees realistic time diversity.
 		period := spec.Tick + sim.Time(int(c)%7)*11
 		partner := host.CtxID((int(c) + nctx/2) % nctx)
 		var tick func()
@@ -104,14 +96,13 @@ func fleetReplay(ctx context.Context, spec FleetReplaySpec, pr ProgressFunc) (Fl
 		if err := ctx.Err(); err != nil {
 			return FleetReplayResult{}, err
 		}
-		h.RunUntil(spec.Dur * sim.Time(w) / fleetReplayWindows)
+		eng.RunUntil(spec.Dur * sim.Time(w) / fleetReplayWindows)
 		pr.emit("fleet-replay", w, fleetReplayWindows,
 			fmt.Sprintf("t=%v", spec.Dur*sim.Time(w)/fleetReplayWindows))
 	}
 
 	res := FleetReplayResult{
-		Shards:  h.Shards(),
-		Events:  h.Events(),
+		Events:  eng.Dispatched(),
 		Elapsed: spec.Dur,
 	}
 	for _, n := range ticks {
@@ -138,13 +129,7 @@ func fleetReplay(ctx context.Context, spec FleetReplaySpec, pr ProgressFunc) (Fl
 		word(n)
 	}
 	word(res.Events)
-	word(uint64(h.Eng.Now()))
+	word(uint64(eng.Now()))
 	res.Digest = d.Sum64()
 	return res, nil
-}
-
-// FleetReplayLine renders a result as one deterministic line.
-func (r FleetReplayResult) FleetReplayLine() string {
-	return fmt.Sprintf("shards=%d events=%d ticks=%d ipis=%d elapsed=%v digest=%016x",
-		r.Shards, r.Events, r.Ticks, r.IPIs, r.Elapsed, r.Digest)
 }

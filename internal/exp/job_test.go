@@ -3,7 +3,6 @@ package exp
 import (
 	"context"
 	"errors"
-	"reflect"
 	"testing"
 
 	"svtsim/internal/host"
@@ -18,67 +17,91 @@ func jobTestSession(t *testing.T) *Session {
 	return s
 }
 
-// TestJobsMatchPlainCalls pins the serving-layer contract: an
-// uncancelled job returns exactly what the plain experiment call
-// returns, so cached (job-rendered) bytes are interchangeable with a
-// fresh run's.
-func TestJobsMatchPlainCalls(t *testing.T) {
-	modes := AllModes()[:2]
+// TestFleetReplayJobMatchesPlain: the windowed, cancellable replay must
+// produce the same digest as the monolithic one.
+func TestFleetReplayJobMatchesPlain(t *testing.T) {
+	spec := DefaultFleetReplaySpec()
+	spec.Topo = host.Topology{Sockets: 2, CoresPerSocket: 2, ThreadsPerCore: 2}
+	spec.Dur = spec.Dur / 10
+	plain := FleetReplay(spec)
 
-	plainD := jobTestSession(t).DensitySweep(modes, 2, 500)
-	jobD, err := jobTestSession(t).DensitySweepJob(context.Background(), modes, 2, 500, nil)
+	s := NewSession()
+	if err := s.SetTopology(spec.Topo); err != nil {
+		t.Fatal(err)
+	}
+	var events int
+	job, err := s.FleetReplayJob(context.Background(), spec.Dur, spec.Tick, spec.CrossEvery,
+		func(ProgressEvent) { events++ })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(plainD, jobD) {
-		t.Error("DensitySweepJob diverged from DensitySweep")
+	if job != plain {
+		t.Errorf("FleetReplayJob = %+v, plain = %+v", job, plain)
 	}
-
-	plainS := jobTestSession(t).StormTable(modes, 3, 6, 42)
-	jobS, err := jobTestSession(t).StormTableJob(context.Background(), modes, 3, 6, 42, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(plainS, jobS) {
-		t.Error("StormTableJob diverged from StormTable")
-	}
-
-	plainL := jobTestSession(t).LoadBalancerTable(modes, 2, "steady", 42, 1000)
-	jobL, err := jobTestSession(t).LoadBalancerTableJob(context.Background(), modes, 2, "steady", 42, 1000, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(plainL, jobL) {
-		t.Error("LoadBalancerTableJob diverged from LoadBalancerTable")
+	if events != fleetReplayWindows {
+		t.Errorf("%d progress events, want %d", events, fleetReplayWindows)
 	}
 }
 
-// TestFleetReplayJobMatchesPlain: the windowed, cancellable replay must
-// produce the same digest as the monolithic one, at 1 shard and at 2.
-func TestFleetReplayJobMatchesPlain(t *testing.T) {
-	for _, shards := range []int{1, 2} {
-		spec := DefaultFleetReplaySpec()
-		spec.Topo = host.Topology{Sockets: 2, CoresPerSocket: 2, ThreadsPerCore: 2}
-		spec.Dur = spec.Dur / 10
-		spec.Shards = shards
-		plain := FleetReplay(spec)
+// cellJobs are the jobs that fan one cell per mode out on the session's
+// pool, each run over every mode at a small size.
+var cellJobs = []struct {
+	stage string
+	run   func(s *Session, ctx context.Context, pr ProgressFunc) error
+}{
+	{"storm", func(s *Session, ctx context.Context, pr ProgressFunc) error {
+		_, err := s.StormTableJob(ctx, AllModes(), 2, 4, 42, pr)
+		return err
+	}},
+	{"lb", func(s *Session, ctx context.Context, pr ProgressFunc) error {
+		_, err := s.LoadBalancerTableJob(ctx, AllModes(), 2, "steady", 42, 1000, pr)
+		return err
+	}},
+	{"faultgrid", func(s *Session, ctx context.Context, pr ProgressFunc) error {
+		var cells []FaultCell
+		for _, m := range AllModes() {
+			cells = append(cells, FaultCell{Mode: m, N: 20})
+		}
+		_, err := s.FaultSweepGridJob(ctx, cells, pr)
+		return err
+	}},
+}
 
-		s := NewSession()
-		if err := s.SetTopology(spec.Topo); err != nil {
-			t.Fatal(err)
+// TestJobProgressAtPoolWidth2: with cells running on two workers, the
+// progress events of each pool-fanned job still arrive one at a time
+// with Done running 1..Total.
+func TestJobProgressAtPoolWidth2(t *testing.T) {
+	for _, j := range cellJobs {
+		s := jobTestSession(t)
+		s.SetParallelism(2)
+		var evs []ProgressEvent
+		if err := j.run(s, context.Background(), func(e ProgressEvent) { evs = append(evs, e) }); err != nil {
+			t.Fatalf("%s: %v", j.stage, err)
 		}
-		s.SetShards(shards)
-		var events int
-		job, err := s.FleetReplayJob(context.Background(), spec.Dur, spec.Tick, spec.CrossEvery,
-			func(ProgressEvent) { events++ })
-		if err != nil {
-			t.Fatal(err)
+		total := len(AllModes())
+		if len(evs) != total {
+			t.Fatalf("%s: %d events, want %d", j.stage, len(evs), total)
 		}
-		if job != plain {
-			t.Errorf("shards=%d: FleetReplayJob = %+v, plain = %+v", shards, job, plain)
+		for i, e := range evs {
+			if e.Done != i+1 || e.Total != total || e.Stage != j.stage {
+				t.Fatalf("%s: event %d = %+v", j.stage, i, e)
+			}
 		}
-		if events != fleetReplayWindows {
-			t.Errorf("shards=%d: %d progress events, want %d", shards, events, fleetReplayWindows)
+	}
+}
+
+// TestJobCancelAtPoolWidth2: cancelling the context from the first
+// progress event stops a pool-fanned job before its remaining cells
+// start, and the job reports context.Canceled.
+func TestJobCancelAtPoolWidth2(t *testing.T) {
+	for _, j := range cellJobs {
+		s := jobTestSession(t)
+		s.SetParallelism(2)
+		ctx, cancel := context.WithCancel(context.Background())
+		err := j.run(s, ctx, func(ProgressEvent) { cancel() })
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: err = %v, want context.Canceled", j.stage, err)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -37,7 +38,7 @@ import (
 // an open-loop arrival trace from the balancer context across netstack
 // flows that ride the host's cross-core delivery fabric. Every stage is
 // engine-driven and RNG-seeded, so the scenario is byte-identical at
-// any worker-pool width and any shard count.
+// any worker-pool width.
 
 // Load-balancer wire constants: request/response framing and the
 // per-hop serialization charge on the host fabric.
@@ -95,12 +96,12 @@ type LBResult struct {
 	GangMigrations uint64
 	Downtime       sim.Time
 	// Events is the host engine's dispatch count across both phases —
-	// the determinism tripwire, byte-identical at any shard count.
+	// the determinism tripwire, byte-identical at any pool width.
 	Events uint64
 }
 
 // StatsLine renders the cell as one deterministic line; the lb golden
-// test and the CI sharded-vs-single byte-compare pin it.
+// test and the CI pool-width byte-compare pin it.
 func (r LBResult) StatsLine() string {
 	return fmt.Sprintf("lb mode=%s k=%d scen=%s seed=%d offered=%d completed=%d goodput=%.1f "+
 		"p50us=%.3f p99us=%.3f p999us=%.3f slo=%.0fus viol=%d/%d "+
@@ -270,7 +271,7 @@ func (c *hostConduit) Send(pkt []byte, done func()) {
 		}
 	})
 	if done != nil {
-		c.h.EngineFor(c.from).After(0, done)
+		c.h.Eng.After(0, done)
 	}
 }
 func (c *hostConduit) SetReceiver(fn func(pkt []byte)) { c.recv = fn }
@@ -304,15 +305,13 @@ func (s *Session) loadBalancer(mode hv.Mode, k int, scenario string, seed int64,
 		sloUs = 1000
 	}
 	topo := s.Topology()
-	h, err := host.NewSharded(topo, s.HostParams(), s.Shards())
+	h, err := host.New(topo, s.HostParams())
 	if err != nil {
 		panic("exp: " + err.Error())
 	}
 
 	// Fault plane: the session's spec, or the scenario default for
-	// "faults". Arming forces the exact serial merge on a sharded host,
-	// keeping consult order — and therefore every outcome — identical
-	// to shards=1.
+	// "faults".
 	spec := s.faultSpec()
 	if scenario == "faults" && (spec == nil || len(spec.Sites) == 0) {
 		spec = lbFaultSpec(seed)
@@ -320,7 +319,7 @@ func (s *Session) loadBalancer(mode hv.Mode, k int, scenario string, seed int64,
 	var plane *fault.Plane
 	if spec != nil {
 		if plane = spec.Build(h.Eng); plane != nil {
-			h.ArmFaults(plane)
+			h.Eng.SetFaults(plane)
 		}
 	}
 
@@ -447,7 +446,7 @@ func (s *Session) loadBalancer(mode hv.Mode, k int, scenario string, seed int64,
 
 		GangMigrations: res.GangMigrations,
 		Downtime:       res.MigrationDowntime,
-		Events:         h.Events(),
+		Events:         h.Eng.Dispatched(),
 	}
 	okCount := 0
 	viol := make(map[int]bool)
@@ -497,12 +496,11 @@ type lbSpray struct {
 
 func (sp *lbSpray) run(assigns []host.Assignment, runs []lbRun, tspec traffic.Spec, t0, dur sim.Time, oplane *obs.Plane) {
 	h := sp.h
-	balEng := h.EngineFor(sp.balCtx)
+	eng := h.Eng
 	k := sp.k
 
 	type backend struct {
 		ctx       host.CtxID
-		eng       *sim.Engine
 		fl        *netstack.Flow // backend-side flow (set on passive open)
 		rx        int
 		busyUntil sim.Time
@@ -542,11 +540,10 @@ func (sp *lbSpray) run(assigns []host.Assignment, runs []lbRun, tspec traffic.Sp
 		for j := 0; j < k; j++ {
 			j := j
 			b := &backend{ctx: assigns[j].Ctxs[0]}
-			b.eng = h.EngineFor(b.ctx)
 			backends[j] = b
 
 			cBal, cBk := hostConduitPair(h, sp.balCtx, b.ctx, lbWireLat)
-			bkSt := netstack.New(b.eng, cBk, netstack.Params{})
+			bkSt := netstack.New(eng, cBk, netstack.Params{})
 			svc := runs[j].svcUs
 			bkSt.OnFlow = func(f *netstack.Flow) {
 				b.fl = f
@@ -557,7 +554,7 @@ func (sp *lbSpray) run(assigns []host.Assignment, runs []lbRun, tspec traffic.Sp
 						// Fluid single-server queue: service time is the
 						// phase-1 sample dilated by the contention
 						// slowdown; storm pauses stall the clock.
-						start := b.eng.Now()
+						start := eng.Now()
 						if b.busyUntil > start {
 							start = b.busyUntil
 						}
@@ -571,7 +568,7 @@ func (sp *lbSpray) run(assigns []host.Assignment, runs []lbRun, tspec traffic.Sp
 						b.qdepth++
 						qd[j] = b.qdepth
 						done := b.busyUntil
-						b.eng.At(done, func() {
+						eng.At(done, func() {
 							b.qdepth--
 							qd[j] = b.qdepth
 							b.fl.Write(make([]byte, lbRespSize))
@@ -580,7 +577,7 @@ func (sp *lbSpray) run(assigns []host.Assignment, runs []lbRun, tspec traffic.Sp
 				}
 			}
 
-			balSt := netstack.New(balEng, cBal, netstack.Params{})
+			balSt := netstack.New(eng, cBal, netstack.Params{})
 			sp.stacks = append(sp.stacks, balSt, bkSt)
 			fl := balSt.Open(uint32(j + 1))
 			balFlows[j] = fl
@@ -591,7 +588,7 @@ func (sp *lbSpray) run(assigns []host.Assignment, runs []lbRun, tspec traffic.Sp
 					sent := pending[j][0]
 					pending[j] = pending[j][1:]
 					outstanding[j]--
-					now := balEng.Now()
+					now := eng.Now()
 					lat := (now - sent).Microseconds()
 					sp.latUs = append(sp.latUs, lat)
 					sp.doneAt = append(sp.doneAt, now)
@@ -603,7 +600,7 @@ func (sp *lbSpray) run(assigns []host.Assignment, runs []lbRun, tspec traffic.Sp
 			}
 		}
 
-		src := &traffic.Source{Eng: balEng, Spec: tspec, Fire: func(i uint64) {
+		src := &traffic.Source{Eng: eng, Spec: tspec, Fire: func(i uint64) {
 			sp.offered++
 			// Least-outstanding dispatch, lowest index on ties.
 			j := 0
@@ -613,18 +610,18 @@ func (sp *lbSpray) run(assigns []host.Assignment, runs []lbRun, tspec traffic.Sp
 				}
 			}
 			outstanding[j]++
-			pending[j] = append(pending[j], balEng.Now())
+			pending[j] = append(pending[j], eng.Now())
 			balFlows[j].Write(make([]byte, lbReqSize))
 			// The dispatch kick crosses the apic plane like a resched.
 			h.SendIPI(sp.balCtx, backends[j].ctx, lbVector)
 		}}
-		src.Start(balEng.Now() + dur)
+		src.Start(eng.Now() + dur)
 	}
-	balEng.After(0, setup)
+	eng.After(0, setup)
 
 	// Drive traffic plus a drain tail; overloaded queues may still hold
 	// work at the horizon — that unfinished backlog is the measurement.
-	h.RunUntil(t0 + dur + 2*sim.Millisecond)
+	h.Eng.RunUntil(t0 + dur + 2*sim.Millisecond)
 }
 
 // lbStormPlan is BuildStormPlan scaled to the LB replay horizon:
@@ -658,9 +655,8 @@ func lbStormPlan(k, storms int, seed int64) *host.StormPlan {
 // worker pool; cells are independent, so the table is byte-identical to
 // running them serially.
 func (s *Session) LoadBalancerTable(modes []hv.Mode, k int, scenario string, seed int64, sloUs float64) []LBResult {
-	return parallel.MapN(s.Workers(), len(modes), func(i int) LBResult {
-		return s.LoadBalancer(modes[i], k, scenario, seed, sloUs)
-	})
+	out, _ := s.LoadBalancerTableJob(context.Background(), modes, k, scenario, seed, sloUs, nil)
+	return out
 }
 
 // LoadBalancerSweep runs every scenario for every mode (scenario-major

@@ -11,14 +11,13 @@ import (
 // lbLines runs the LB sweep used by the determinism goldens: every
 // scenario for two modes on the 2x2x2 test topology, rendered as
 // StatsLines.
-func lbLines(t *testing.T, workers, shards int) []string {
+func lbLines(t *testing.T, workers int) []string {
 	t.Helper()
 	s := NewSession()
 	if err := s.SetTopology(testTopo2x2x2()); err != nil {
 		t.Fatal(err)
 	}
 	s.SetParallelism(workers)
-	s.SetShards(shards)
 	var lines []string
 	for _, sc := range LBScenarios() {
 		for _, r := range s.LoadBalancerTable([]hv.Mode{hv.ModeSWSVt, hv.ModeBaseline}, 3, sc, 42, 1000) {
@@ -33,31 +32,14 @@ func lbLines(t *testing.T, workers, shards int) []string {
 // pauses, fault drops — renders byte-identical StatsLines on a serial
 // worker pool and a wide one.
 func TestLoadBalancerDeterministicAcrossPool(t *testing.T) {
-	serial := lbLines(t, 1, 1)
-	wide := lbLines(t, 8, 1)
+	serial := lbLines(t, 1)
+	wide := lbLines(t, 8)
 	if len(serial) != len(wide) {
 		t.Fatalf("row count differs: %d vs %d", len(serial), len(wide))
 	}
 	for i := range serial {
 		if serial[i] != wide[i] {
 			t.Errorf("row %d diverges across pool widths:\nserial: %s\nwide:   %s", i, serial[i], wide[i])
-		}
-	}
-}
-
-// TestLoadBalancerShardTransparent: the same sweep is byte-identical
-// with the host engine sharded — the cross-shard balancer↔backend
-// segment deliveries ride host.Deliver, whose latencies respect the
-// conservative lookahead.
-func TestLoadBalancerShardTransparent(t *testing.T) {
-	ref := lbLines(t, 1, 1)
-	for _, shards := range []int{2, 4} {
-		got := lbLines(t, 1, shards)
-		for i := range ref {
-			if got[i] != ref[i] {
-				t.Errorf("shards=%d row %d diverged from single heap:\nsingle:  %s\nsharded: %s",
-					shards, i, ref[i], got[i])
-			}
 		}
 	}
 }

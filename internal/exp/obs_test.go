@@ -12,18 +12,18 @@ import (
 // (spec, seed) the result is byte-identical with tracing off, on, and on
 // with a pathologically small ring (which forces constant rotation).
 func TestObsNeverPerturbsResults(t *testing.T) {
-	defer SetObs(nil)
+	defer Default.SetObs(nil)
 	const n = 150
-	for _, mode := range Modes {
-		SetObs(nil)
-		off := CPUIDNested(mode, n)
-		SetObs(&obs.Options{})
-		on := CPUIDNested(mode, n)
-		if LastObs() == nil {
+	for _, mode := range AllModes() {
+		Default.SetObs(nil)
+		off := Default.CPUIDNested(mode, n)
+		Default.SetObs(&obs.Options{})
+		on := Default.CPUIDNested(mode, n)
+		if Default.LastObs() == nil {
 			t.Fatalf("%v: armed run captured no plane", mode)
 		}
-		SetObs(&obs.Options{RingCap: 4, DispatchSample: 16})
-		small := CPUIDNested(mode, n)
+		Default.SetObs(&obs.Options{RingCap: 4, DispatchSample: 16})
+		small := Default.CPUIDNested(mode, n)
 
 		if on.PerOp != off.PerOp {
 			t.Errorf("%v: tracing on changed per-op: %v != %v", mode, on.PerOp, off.PerOp)
@@ -36,17 +36,17 @@ func TestObsNeverPerturbsResults(t *testing.T) {
 
 // Disarming clears the captured plane, and an unarmed run captures none.
 func TestObsDisarm(t *testing.T) {
-	SetObs(&obs.Options{})
-	CPUIDNested(hv.ModeBaseline, 20)
-	if LastObs() == nil {
+	Default.SetObs(&obs.Options{})
+	Default.CPUIDNested(hv.ModeBaseline, 20)
+	if Default.LastObs() == nil {
 		t.Fatal("armed run captured no plane")
 	}
-	SetObs(nil)
-	if LastObs() != nil {
-		t.Fatal("SetObs(nil) must clear the captured plane")
+	Default.SetObs(nil)
+	if Default.LastObs() != nil {
+		t.Fatal("Default.SetObs(nil) must clear the captured plane")
 	}
-	CPUIDNested(hv.ModeBaseline, 20)
-	if LastObs() != nil {
+	Default.CPUIDNested(hv.ModeBaseline, 20)
+	if Default.LastObs() != nil {
 		t.Fatal("unarmed run captured a plane")
 	}
 }
@@ -54,11 +54,11 @@ func TestObsDisarm(t *testing.T) {
 // Two identical armed runs serialize byte-identical artifacts: the
 // Perfetto JSON timeline, the metrics CSV, and the span summary.
 func TestObsArtifactsAreByteStable(t *testing.T) {
-	defer SetObs(nil)
+	defer Default.SetObs(nil)
 	render := func() (trace, csv, sum string) {
-		SetObs(&obs.Options{})
-		NetLatency(hv.ModeSWSVt, 60)
-		plane := LastObs()
+		Default.SetObs(&obs.Options{})
+		Default.NetLatency(hv.ModeSWSVt, 60)
+		plane := Default.LastObs()
 		if plane == nil {
 			t.Fatal("no plane captured")
 		}

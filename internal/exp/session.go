@@ -23,8 +23,7 @@ import (
 // Session carries one experiment campaign's configuration — fault spec,
 // observability options, worker-pool width, host topology — as instance
 // state instead of package globals. Every experiment is a method on
-// Session; the package-level functions are deprecated wrappers over
-// Default kept so existing callers compile unchanged.
+// Session.
 //
 // All accessors are safe to call concurrently with experiment runs on
 // the parallel pool: configuration reads and writes share one mutex
@@ -38,11 +37,10 @@ type Session struct {
 	workers int
 	topo    host.Topology
 	hostP   host.Params
-	shards  int
 	port    ports.Port
 }
 
-// Default is the session behind the deprecated package-level functions.
+// Default is the session behind the svtsim package-level functions.
 var Default = NewSession()
 
 // NewSession returns a session with the calibrated defaults: no faults,
@@ -145,26 +143,6 @@ func (s *Session) Topology() host.Topology {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.topo
-}
-
-// SetShards sets the engine shard count for fleet-scale experiments:
-// the host's virtual time is partitioned across n conservative-PDES
-// shards (host.NewSharded). Results are byte-identical at any count;
-// n <= 1 keeps the single-heap engine.
-func (s *Session) SetShards(n int) {
-	s.mu.Lock()
-	s.shards = n
-	s.mu.Unlock()
-}
-
-// Shards reports the session's engine shard count (minimum 1).
-func (s *Session) Shards() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.shards < 1 {
-		return 1
-	}
-	return s.shards
 }
 
 // SetHostParams overrides the host-level cost model (IPI latencies,

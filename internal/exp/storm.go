@@ -1,12 +1,12 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
 	"svtsim/internal/host"
 	"svtsim/internal/hv"
-	"svtsim/internal/parallel"
 	"svtsim/internal/sim"
 )
 
@@ -38,14 +38,13 @@ type StormResult struct {
 	MigrationDowntime sim.Time
 
 	// Events is the replay's engine dispatch count — byte-identical at
-	// any shard count or pool width.
+	// any pool width.
 	Events uint64
 }
 
 // StatsLine renders the result as one deterministic line; two runs with
 // the same parameters must produce byte-identical lines (the contract
-// the storm determinism tests pin serial-vs-parallel and
-// sharded-vs-single-heap).
+// the storm determinism tests pin serial-vs-parallel).
 func (r StormResult) StatsLine() string {
 	return fmt.Sprintf("mode=%s k=%d storms=%d seed=%d elapsed=%v p99us=%.3f agg=%.3f slow=%.4f "+
 		"migrations=%d rollbacks=%d retries=%d skipped=%d downtime=%v events=%d",
@@ -112,7 +111,6 @@ func (s *Session) MigrationStorm(mode hv.Mode, k, storms int, seed int64) StormR
 // pool, in mode order. Each cell builds its own host and storm plan, so
 // the table is byte-identical to running the cells serially.
 func (s *Session) StormTable(modes []hv.Mode, k, storms int, seed int64) []StormResult {
-	return parallel.MapN(s.Workers(), len(modes), func(i int) StormResult {
-		return s.MigrationStorm(modes[i], k, storms, seed)
-	})
+	out, _ := s.StormTableJob(context.Background(), modes, k, storms, seed, nil)
+	return out
 }

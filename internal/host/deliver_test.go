@@ -28,53 +28,14 @@ func TestDeliverPricesTopologyDistance(t *testing.T) {
 	}
 	for _, tc := range cases {
 		var at sim.Time = -1
-		h.Deliver(tc.from, tc.to, tc.extra, func() { at = h.EngineFor(tc.to).Now() })
-		h.RunUntil(h.EngineFor(tc.from).Now() + sim.Second)
+		h.Deliver(tc.from, tc.to, tc.extra, func() { at = h.Eng.Now() })
+		h.Eng.RunUntil(h.Eng.Now() + sim.Second)
 		if at != tc.want {
 			t.Fatalf("Deliver(%d->%d, extra=%v) fired at %v, want %v", tc.from, tc.to, tc.extra, at, tc.want)
 		}
 		h, err = New(topo, DefaultParams())
 		if err != nil {
 			t.Fatal(err)
-		}
-	}
-}
-
-// TestDeliverShardedMatchesSingle runs the same delivery fan-out on a
-// single-heap host and a sharded one; arrival times must be identical.
-func TestDeliverShardedMatchesSingle(t *testing.T) {
-	topo := Topology{Sockets: 2, CoresPerSocket: 2, ThreadsPerCore: 2}
-	run := func(shards int) []sim.Time {
-		var h *Host
-		var err error
-		if shards > 1 {
-			h, err = NewSharded(topo, DefaultParams(), shards)
-		} else {
-			h, err = New(topo, DefaultParams())
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		arr := make([]sim.Time, topo.Contexts())
-		src := h.EngineFor(0)
-		src.After(0, func() {
-			for c := 1; c < topo.Contexts(); c++ {
-				c := c
-				h.Deliver(0, CtxID(c), sim.Microsecond, func() {
-					arr[c] = h.EngineFor(CtxID(c)).Now()
-				})
-			}
-		})
-		h.RunUntil(sim.Second)
-		return arr
-	}
-	single := run(1)
-	for _, n := range []int{2, 4} {
-		sharded := run(n)
-		for c := range single {
-			if single[c] != sharded[c] {
-				t.Fatalf("ctx %d: sharded(%d) delivery at %v, single at %v", c, n, sharded[c], single[c])
-			}
 		}
 	}
 }

@@ -49,28 +49,15 @@ func DefaultParams() Params {
 
 // Host is the fleet-scale machine: every hardware context of the
 // topology owns a LAPIC on the apic plane and is a placement target for
-// the L0 scheduler. A Host either owns its engine (New), grafts onto an
-// existing machine's engine (NewOn — the differential harness runs a
-// guest stack and a multi-core host on the same clock), or shards
-// virtual time across a core-group-partitioned sim.ShardedEngine
-// (NewSharded) — in which case each context's LAPIC lives on its core
-// group's shard and cross-shard IPIs ride the conservative window
-// protocol, byte-identical to the single-engine host at any shard
-// count.
+// the L0 scheduler. A Host either owns its engine (New) or grafts onto
+// an existing machine's engine (NewOn — the differential harness runs a
+// guest stack and a multi-core host on the same clock).
 type Host struct {
 	Topo Topology
 	P    Params
-	// Eng is the control engine: shard 0 on a sharded host, the one
-	// engine otherwise. Controller-context code (admission, replay
-	// passes, migration) reads time and consults the fault plane here;
-	// per-context event work must use EngineFor.
+	// Eng is the one engine every context's events, the scheduler and
+	// the fault plane run on.
 	Eng *sim.Engine
-
-	// shards/shardOf/engs describe the PDES layout; shards is nil (and
-	// every engs entry is Eng) on a single-engine host.
-	shards  *sim.ShardedEngine
-	shardOf []int
-	engs    []*sim.Engine
 
 	lapics []ports.IRQController
 
@@ -79,11 +66,10 @@ type Host struct {
 	// harness routes these into a guest machine's L1 interrupt plane.
 	onIPI []func(vec int)
 
-	// Accounting. ipiSent is per sender context so in-window sends on
-	// different shards never share a counter word.
-	ipiSent      [][4]uint64 // per context, by Distance
-	ipiRecv      []uint64    // per context
-	eventsByCore []uint64    // dispatches attributed to each core via engine origin
+	// Accounting.
+	ipiSent      [4]uint64 // by Distance
+	ipiRecv      []uint64  // per context
+	eventsByCore []uint64  // dispatches attributed to each core via engine origin
 
 	tracer    *obs.Tracer
 	ctxTracks []int
@@ -103,50 +89,10 @@ func NewOn(eng *sim.Engine, t Topology, p Params) (*Host, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
-	return newHost(eng, nil, nil, t, p), nil
+	return newHost(eng, t, p), nil
 }
 
-// NewSharded builds a host whose virtual time is partitioned across
-// `shards` engine shards, each owning a contiguous core group (SMT
-// siblings always share a shard; at shards == sockets the split is
-// per-socket). The conservative lookahead is the cheapest IPI that can
-// cross a shard boundary on this topology: the cross-socket latency
-// when every shard boundary is also a socket boundary, the cross-core
-// latency otherwise. shards <= 1 degenerates to New.
-func NewSharded(t Topology, p Params, shards int) (*Host, error) {
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	if shards <= 1 {
-		return New(t, p)
-	}
-	if shards > t.Cores() {
-		return nil, fmt.Errorf("host: %d shards for %d cores; a shard needs at least one core", shards, t.Cores())
-	}
-	shardOf := make([]int, t.Contexts())
-	for c := range shardOf {
-		shardOf[c] = t.CoreOf(CtxID(c)) * shards / t.Cores()
-	}
-	// Lookahead = the minimum cost of any cross-shard interaction. Only
-	// IPIs cross shards in event context, and SMT siblings never split,
-	// so the candidates are cross-core (same socket) and cross-NUMA.
-	lookahead := p.IPICrossNUMA
-	for a := 0; a < t.Contexts(); a++ {
-		for b := a + 1; b < t.Contexts(); b++ {
-			ca, cb := CtxID(a), CtxID(b)
-			if shardOf[a] != shardOf[b] && t.SocketOf(ca) == t.SocketOf(cb) {
-				lookahead = p.IPICrossCore
-			}
-		}
-	}
-	if lookahead <= 0 {
-		return nil, fmt.Errorf("host: sharding needs a positive cross-shard IPI latency, got %v", lookahead)
-	}
-	sh := sim.NewSharded(shards, lookahead)
-	return newHost(sh.Shard(0), sh, shardOf, t, p), nil
-}
-
-func newHost(eng *sim.Engine, sh *sim.ShardedEngine, shardOf []int, t Topology, p Params) *Host {
+func newHost(eng *sim.Engine, t Topology, p Params) *Host {
 	if p.Port == nil {
 		p.Port = x86port.Port()
 	}
@@ -154,95 +100,19 @@ func newHost(eng *sim.Engine, sh *sim.ShardedEngine, shardOf []int, t Topology, 
 		Topo:         t,
 		P:            p,
 		Eng:          eng,
-		shards:       sh,
-		shardOf:      shardOf,
-		engs:         make([]*sim.Engine, t.Contexts()),
 		lapics:       make([]ports.IRQController, t.Contexts()),
 		onIPI:        make([]func(int), t.Contexts()),
-		ipiSent:      make([][4]uint64, t.Contexts()),
 		ipiRecv:      make([]uint64, t.Contexts()),
 		eventsByCore: make([]uint64, t.Cores()),
 	}
 	for c := range h.lapics {
 		c := CtxID(c)
-		ceng := eng
-		if sh != nil {
-			ceng = sh.Shard(shardOf[c])
-		}
-		h.engs[c] = ceng
-		l := p.Port.NewIRQ(int(c), ceng)
-		l.SetOnDeliver(func(vec int) { h.ipiArrived(ceng, c, vec) })
+		l := p.Port.NewIRQ(int(c), eng)
+		l.SetOnDeliver(func(vec int) { h.ipiArrived(c, vec) })
 		h.lapics[c] = l
 	}
 	h.Sched = newScheduler(h)
 	return h
-}
-
-// Shards reports the engine shard count (1 on a single-engine host).
-func (h *Host) Shards() int {
-	if h.shards == nil {
-		return 1
-	}
-	return h.shards.Shards()
-}
-
-// ShardOf reports which engine shard a hardware context lives on.
-func (h *Host) ShardOf(c CtxID) int {
-	if h.shardOf == nil {
-		return 0
-	}
-	return h.shardOf[c]
-}
-
-// EngineFor returns the engine a context's events run on: its shard's
-// engine on a sharded host, the one engine otherwise. Event-context
-// code tied to a context must schedule here, not on Eng.
-func (h *Host) EngineFor(c CtxID) *sim.Engine { return h.engs[c] }
-
-// Sharded exposes the PDES coordinator, nil on single-engine hosts.
-func (h *Host) Sharded() *sim.ShardedEngine { return h.shards }
-
-// Lookahead reports the conservative window width (0 when unsharded).
-func (h *Host) Lookahead() sim.Time {
-	if h.shards == nil {
-		return 0
-	}
-	return h.shards.Lookahead()
-}
-
-// RunUntil advances the host's virtual time to t — through the window
-// protocol when sharded, directly otherwise. All controller-visible
-// clocks are equal to t on return.
-func (h *Host) RunUntil(t sim.Time) {
-	if h.shards != nil {
-		h.shards.RunUntil(t)
-		return
-	}
-	h.Eng.RunUntil(t)
-}
-
-// Events reports total event dispatches across all of the host's
-// engine shards.
-func (h *Host) Events() uint64 {
-	if h.shards != nil {
-		return h.shards.Dispatched()
-	}
-	return h.Eng.Dispatched()
-}
-
-// ArmFaults installs one fault injector on every engine shard (and
-// registers it as each shard's injector for LAPIC delivery sites). On a
-// sharded host an armed injector also forces the exact serial merge, so
-// the order fault sites are consulted in — and therefore every seeded
-// outcome — matches the single-engine host exactly.
-func (h *Host) ArmFaults(inj sim.FaultInjector) {
-	if h.shards == nil {
-		h.Eng.SetFaults(inj)
-		return
-	}
-	for i := 0; i < h.shards.Shards(); i++ {
-		h.shards.Shard(i).SetFaults(inj)
-	}
 }
 
 // LAPIC returns the interrupt controller of a hardware context.
@@ -252,13 +122,11 @@ func (h *Host) LAPIC(c CtxID) ports.IRQController { return h.lapics[c] }
 // default count-and-ack behaviour).
 func (h *Host) OnIPI(c CtxID, fn func(vec int)) { h.onIPI[c] = fn }
 
-// ipiArrived runs in event context on the target context's engine when
-// a vector lands on its LAPIC. eng is that engine — on a sharded host
-// the delivery fires on the target's shard, whose origin tag (not
-// Eng's) attributes the dispatch.
-func (h *Host) ipiArrived(eng *sim.Engine, c CtxID, vec int) {
+// ipiArrived runs in event context when a vector lands on context c's
+// LAPIC; the engine's origin tag attributes the dispatch to a core.
+func (h *Host) ipiArrived(c CtxID, vec int) {
 	h.ipiRecv[c]++
-	if o := eng.Origin(); o >= 0 && o < len(h.eventsByCore) {
+	if o := h.Eng.Origin(); o >= 0 && o < len(h.eventsByCore) {
 		h.eventsByCore[o]++
 	}
 	if fn := h.onIPI[c]; fn != nil {
@@ -288,63 +156,38 @@ func (h *Host) IPILatency(from, to CtxID) sim.Time {
 // the apic plane: the vector crosses the interconnect with a
 // distance-dependent latency and lands on the target LAPIC (where the
 // fault plane, if armed, may still drop or delay it). The delivery
-// event is attributed to the target's core. On a sharded host the send
-// must come from `from`'s own context (its shard, when in event
-// context), and a shard-crossing delivery rides the window protocol —
-// legal because every shard boundary costs at least the lookahead.
+// event is attributed to the target's core.
 func (h *Host) SendIPI(from, to CtxID, vec int) {
 	d := h.Topo.DistanceOf(from, to)
-	h.ipiSent[from][d]++
-	lat := h.IPILatency(from, to)
+	h.ipiSent[d]++
 	target := h.lapics[to]
-	src := h.engs[from]
-	prev := src.Origin()
-	src.SetOrigin(h.Topo.CoreOf(to))
-	if h.shards != nil {
-		h.shards.Post(h.shardOf[from], h.shardOf[to], lat, func() { target.Deliver(vec) })
-	} else {
-		src.After(lat, func() { target.Deliver(vec) })
-	}
-	src.SetOrigin(prev)
+	h.Deliver(from, to, 0, func() { target.Deliver(vec) })
 	if h.tracer != nil {
 		h.tracer.Instant(h.ctxTracks[from], obs.KindIPI, obs.LevelNone,
-			h.ipiLabel, src.Now(), uint64(to), uint64(vec))
+			h.ipiLabel, h.Eng.Now(), uint64(to), uint64(vec))
 	}
 }
 
-// Deliver runs fn on the target context's engine after the
-// interconnect crossing plus extra — the host's cross-core packet
-// fabric. It is SendIPI without the LAPIC hop: netstack conduits
-// between a balancer context and backend contexts ride it, so segment
-// delivery is priced by topology distance and, on a sharded host,
-// stays legal across shard windows (every shard-crossing pair already
-// costs at least the lookahead; extra only adds to it). The delivery
-// event is attributed to the target's core.
+// Deliver runs fn after the interconnect crossing from one context to
+// another plus extra — the host's cross-core packet fabric. It is
+// SendIPI without the LAPIC hop: netstack conduits between a balancer
+// context and backend contexts ride it, so segment delivery is priced
+// by topology distance. The delivery event is attributed to the
+// target's core.
 func (h *Host) Deliver(from, to CtxID, extra sim.Time, fn func()) {
 	if extra < 0 {
 		extra = 0
 	}
-	lat := h.IPILatency(from, to) + extra
-	src := h.engs[from]
-	prev := src.Origin()
-	src.SetOrigin(h.Topo.CoreOf(to))
-	if h.shards != nil {
-		h.shards.Post(h.shardOf[from], h.shardOf[to], lat, fn)
-	} else {
-		src.After(lat, fn)
-	}
-	src.SetOrigin(prev)
+	prev := h.Eng.Origin()
+	h.Eng.SetOrigin(h.Topo.CoreOf(to))
+	h.Eng.After(h.IPILatency(from, to)+extra, fn)
+	h.Eng.SetOrigin(prev)
 }
 
 // IPIsSent reports how many IPIs were sent at each distance class.
 func (h *Host) IPIsSent() (self, smt, crossCore, crossNUMA uint64) {
-	var sum [4]uint64
-	for c := range h.ipiSent {
-		for d := 0; d < 4; d++ {
-			sum[d] += h.ipiSent[c][d]
-		}
-	}
-	return sum[DistSelf], sum[DistSMT], sum[DistCore], sum[DistNUMA]
+	n := h.ipiSent
+	return n[DistSelf], n[DistSMT], n[DistCore], n[DistNUMA]
 }
 
 // IPIsReceived reports per-context IPI arrivals.
@@ -362,12 +205,6 @@ func (h *Host) SetObs(p *obs.Plane) {
 	if p == nil {
 		h.tracer = nil
 		return
-	}
-	if h.shards != nil {
-		// The tracer records global dispatch order; windowed execution
-		// would permute it (and race on the ring), so trace-enabled
-		// sharded hosts run the exact serial merge.
-		h.shards.SetExact(true)
 	}
 	h.tracer = p.Tracer
 	h.ctxTracks = make([]int, h.Topo.Contexts())

@@ -230,8 +230,7 @@ type ReplayResult struct {
 	Migrations  uint64
 	ReschedIPIs uint64
 	Quanta      uint64
-	// Events is how many engine events the replay dispatched (summed
-	// across shards on a sharded host) — identical at any shard count.
+	// Events is how many engine events the replay dispatched.
 	Events uint64
 
 	// Gang-migration tallies, populated by storm replays (zero when no
@@ -305,7 +304,7 @@ func (s *Scheduler) ReplayStorm(demands []Demand, plan *StormPlan) ReplayResult 
 	h := s.h
 	t := h.Topo
 	nctx := t.Contexts()
-	startEvents := h.Events()
+	startEvents := h.Eng.Dispatched()
 	res := ReplayResult{
 		VMs:          make([]VMOutcome, len(demands)),
 		CtxBusy:      make([]sim.Time, nctx),
@@ -546,13 +545,12 @@ func (s *Scheduler) ReplayStorm(demands []Demand, plan *StormPlan) ReplayResult 
 		}
 
 		// Advance the clock to the end of the quantum, dispatching IPI
-		// deliveries and anything else scheduled — through the window
-		// protocol on a sharded host, directly otherwise.
-		h.RunUntil(end)
+		// deliveries and anything else scheduled.
+		h.Eng.RunUntil(end)
 	}
 
 	res.Elapsed = h.Eng.Now()
-	res.Events = h.Events() - startEvents
+	res.Events = h.Eng.Dispatched() - startEvents
 	res.Quanta = quanta
 	res.Migrations = s.migrations
 	res.ReschedIPIs = s.reschedIPIs

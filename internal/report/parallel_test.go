@@ -28,7 +28,7 @@ func render(t *testing.T, widths []int, fn func(*bytes.Buffer)) [][]byte {
 // on the Figure 6 mode sweep: the rendered bytes are identical for every
 // pool width.
 func TestFigure6ParallelMatchesSerial(t *testing.T) {
-	outs := render(t, []int{1, 4, 16}, func(b *bytes.Buffer) { Figure6(b, 100) })
+	outs := render(t, []int{1, 4, 16}, func(b *bytes.Buffer) { NewRenderer(nil).Figure6(b, 100) })
 	for i := 1; i < len(outs); i++ {
 		if !bytes.Equal(outs[0], outs[i]) {
 			t.Fatalf("Figure 6 output diverged between pool widths:\nserial:\n%s\nparallel:\n%s",
@@ -43,7 +43,7 @@ func TestFigure7ParallelMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure 7 cells are slow")
 	}
-	outs := render(t, []int{1, 8}, func(b *bytes.Buffer) { Figure7(b, true) })
+	outs := render(t, []int{1, 8}, func(b *bytes.Buffer) { NewRenderer(nil).Figure7(b, true) })
 	if !bytes.Equal(outs[0], outs[1]) {
 		t.Fatalf("Figure 7 output diverged between pool widths:\nserial:\n%s\nparallel:\n%s",
 			outs[0], outs[1])
@@ -53,7 +53,7 @@ func TestFigure7ParallelMatchesSerial(t *testing.T) {
 // TestChannelsParallelMatchesSerial covers the §6.1 channel-study
 // cross-product, which fans out inside exp.ChannelStudy.
 func TestChannelsParallelMatchesSerial(t *testing.T) {
-	outs := render(t, []int{1, 8}, func(b *bytes.Buffer) { Channels(b, true) })
+	outs := render(t, []int{1, 8}, func(b *bytes.Buffer) { NewRenderer(nil).Channels(b, true) })
 	if !bytes.Equal(outs[0], outs[1]) {
 		t.Fatalf("channel study diverged between pool widths:\nserial:\n%s\nparallel:\n%s",
 			outs[0], outs[1])

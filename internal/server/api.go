@@ -32,7 +32,7 @@ import (
 const (
 	KindDensity   = "density"   // fleet consolidation sweep (exp.DensitySweep)
 	KindStorm     = "storm"     // migration storm table (exp.StormTable)
-	KindFleet     = "fleet"     // shard-scaling fleet replay (exp.FleetReplay)
+	KindFleet     = "fleet"     // fleet event-engine replay (exp.FleetReplay)
 	KindCheck     = "check"     // differential cross-mode check (internal/check)
 	KindFaultGrid = "faultgrid" // fault-injection sweep grid (exp.FaultSweepGrid)
 	KindWorkload  = "workload"  // one single-machine figure workload per mode
@@ -64,8 +64,12 @@ type Request struct {
 	Kind     string   `json:"kind"`
 	Modes    []string `json:"modes,omitempty"`
 	Topology string   `json:"topology,omitempty"`
-	Shards   int      `json:"shards,omitempty"`
-	Seed     int64    `json:"seed,omitempty"`
+	// Shards is accepted for compatibility with requests written for the
+	// removed sharded engine. Canonicalize always sets it to 1, the value
+	// every existing digest was minted with, so those digests still
+	// address their results and any shard count shares one cache entry.
+	Shards int   `json:"shards,omitempty"`
+	Seed   int64 `json:"seed,omitempty"`
 
 	// Port selects the architecture backend. Canonical form spells the
 	// default x86 port as "" (omitted from JSON), so every digest minted
@@ -121,14 +125,7 @@ func (r *Request) Canonicalize() error {
 	}
 	r.Topology = topo.String()
 
-	if r.Shards <= 0 {
-		r.Shards = 1
-	}
-	if r.Shards > topo.Cores() {
-		return uerr.New("shards", fmt.Sprint(r.Shards),
-			fmt.Sprintf("host %s has only %d cores", topo, topo.Cores()),
-			"shards must not exceed the topology's core count")
-	}
+	r.Shards = 1
 
 	if len(r.Modes) == 0 {
 		for _, m := range hv.AllModes() {

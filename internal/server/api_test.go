@@ -50,7 +50,6 @@ func TestCanonicalizeDistinct(t *testing.T) {
 		{"storm", Request{Kind: KindStorm}},
 		{"storm-seed", Request{Kind: KindStorm, Seed: 7}},
 		{"fleet", Request{Kind: KindFleet}},
-		{"fleet-shards", Request{Kind: KindFleet, Shards: 4}},
 		{"check", Request{Kind: KindCheck}},
 		{"workload", Request{Kind: KindWorkload}},
 		{"workload-netrr", Request{Kind: KindWorkload, Workload: "netrr"}},
@@ -69,6 +68,31 @@ func TestCanonicalizeDistinct(t *testing.T) {
 			t.Errorf("digest collision: %s and %s", prev, tc.name)
 		}
 		seen[d] = tc.name
+	}
+}
+
+// TestDigestsPinned: the canonical digests of default requests are
+// fixed forever — a changed digest orphans every cached result. A
+// shards value, once a request knob, canonicalizes to 1 whatever it is,
+// so any shard count addresses the same result.
+func TestDigestsPinned(t *testing.T) {
+	for _, tc := range []struct {
+		kind, want string
+	}{
+		{KindDensity, "060e0fea38d773ae400ac64c354ea06cb35d09d51b2cf27ccfbbf7957244ea5e"},
+		{KindStorm, "d81068225575da71430f2383701fe41930ffce9feb6490104b512751ada23fe2"},
+		{KindLB, "95eede3e64b0f06b109aa4104e659a68e1b02c45d3bd621669a9d74601052bc6"},
+		{KindFleet, "755492f26d7f0551f55f252843f9f41d10b5cb874df625c0457de7bcfda4aa5f"},
+	} {
+		for _, shards := range []int{0, 1, 4, 999} {
+			r := &Request{Kind: tc.kind, Shards: shards}
+			if err := r.Canonicalize(); err != nil {
+				t.Fatalf("%s shards=%d: %v", tc.kind, shards, err)
+			}
+			if got := r.Digest(); got != tc.want {
+				t.Errorf("%s shards=%d: digest %s, want %s", tc.kind, shards, got, tc.want)
+			}
+		}
 	}
 }
 
@@ -99,7 +123,6 @@ func TestCanonicalizeErrors(t *testing.T) {
 		{"unknown kind", Request{Kind: "frobnicate"}, "kind"},
 		{"bad mode", Request{Kind: KindStorm, Modes: []string{"vmx"}}, "mode"},
 		{"bad topology", Request{Kind: KindStorm, Topology: "2x8x9"}, "topology"},
-		{"shards over cores", Request{Kind: KindFleet, Topology: "1x4x2", Shards: 5}, "shards"},
 		{"bad workload", Request{Kind: KindWorkload, Workload: "doom"}, "workload"},
 		{"faultgrid no spec", Request{Kind: KindFaultGrid}, "faults"},
 		{"bad fault rate", Request{Kind: KindStorm, FaultRate: 1.5}, "fault_rate"},

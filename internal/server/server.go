@@ -164,7 +164,15 @@ func (s *Server) runJob(j *job) {
 	j.setRunning(cancel)
 
 	var entry *cacheEntry
-	err := func() error {
+	err := func() (err error) {
+		// A panicking simulation fails its job, not the daemon. Panics
+		// raised by a pool worker are re-raised here by parallel.MapN,
+		// and simulation panics already name the seed that replays them.
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("server: simulation panicked: %v", r)
+			}
+		}()
 		if s.runHook != nil {
 			if err := s.runHook(ctx, j.req); err != nil {
 				return err

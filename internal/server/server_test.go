@@ -22,7 +22,7 @@ func smallStorm() *Request {
 	return &Request{Kind: KindStorm, Topology: "1x2x2", VMs: 4, Storms: 3}
 }
 func smallFleet() *Request {
-	return &Request{Kind: KindFleet, Topology: "1x2x2", DurMs: 2, Shards: 2}
+	return &Request{Kind: KindFleet, Topology: "1x2x2", DurMs: 2}
 }
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *Client) {
@@ -263,6 +263,38 @@ func TestDrainFinishesAcceptedJobs(t *testing.T) {
 	if _, err := c.Submit(ctx, smallDensity()); err == nil ||
 		!strings.Contains(err.Error(), "503") {
 		t.Errorf("post-drain submit: want 503, got %v", err)
+	}
+}
+
+// TestPanicFailsJob: a simulation that panics fails its own job with
+// the panic message, and the same server goes on serving requests.
+func TestPanicFailsJob(t *testing.T) {
+	s, c := newTestServer(t, Config{Workers: 1})
+	s.runHook = func(ctx context.Context, req *Request) error {
+		if req.Seed == 13 {
+			panic("exp: run failed (seed=13): boom")
+		}
+		return nil
+	}
+	ctx := context.Background()
+	bad := smallStorm()
+	bad.Seed = 13
+	sub, err := c.Submit(ctx, bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Stream(ctx, sub.ID, nil); err != nil {
+		t.Fatal(err)
+	}
+	st, err := c.Job(ctx, sub.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != StateFailed || !strings.Contains(st.Error, "seed=13") {
+		t.Fatalf("state %s, error %q; want failed naming the seed", st.State, st.Error)
+	}
+	if _, err := c.Run(ctx, smallStorm(), nil); err != nil {
+		t.Fatalf("second request after a panic: %v", err)
 	}
 }
 

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -179,6 +181,52 @@ func TestRunUntilDoesNotFireFuture(t *testing.T) {
 	}
 	if e.Now() != 50 {
 		t.Fatalf("Now = %v, want 50", e.Now())
+	}
+}
+
+// TestRepeatedRunUntil: advancing in fixed quanta must dispatch exactly
+// what one RunUntil to the horizon does. The fleet replay advances in
+// windows to check for cancellation, and its digest rests on this.
+func TestRepeatedRunUntil(t *testing.T) {
+	const (
+		ctxs    = 32
+		wire    = 150 // cross-context message delay
+		horizon = 10_000
+	)
+	run := func(quantum Time) ([][]string, Time) {
+		e := New()
+		logs := make([][]string, ctxs)
+		counts := make([]int, ctxs)
+		for c := 0; c < ctxs; c++ {
+			c := c
+			period := Time(50 + 13*(c%5))
+			partner := (c + ctxs/2) % ctxs
+			var tick func()
+			tick = func() {
+				counts[c]++
+				logs[c] = append(logs[c], fmt.Sprintf("tick ctx=%d n=%d t=%d", c, counts[c], e.Now()))
+				if counts[c]%3 == 0 {
+					n := counts[c]
+					e.After(wire, func() {
+						logs[partner] = append(logs[partner], fmt.Sprintf("recv ctx=%d from=%d n=%d t=%d", partner, c, n, e.Now()))
+					})
+				}
+				e.After(period, tick)
+			}
+			e.At(Time(10+c), tick)
+		}
+		for end := quantum; end <= horizon; end += quantum {
+			e.RunUntil(end)
+		}
+		return logs, e.Now()
+	}
+	want, _ := run(horizon)
+	got, now := run(250)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("quantized run diverged from a single RunUntil")
+	}
+	if now != horizon {
+		t.Fatalf("Now = %v, want %v", now, Time(horizon))
 	}
 }
 

@@ -41,16 +41,6 @@ import (
 
 // --- Parallel experiment fan-out ---------------------------------------
 
-// SetParallelism sets the worker-pool width used by every experiment
-// sweep (figure mode sweeps, the channel study, fault-sweep grids) and by
-// svtbench's section fan-out. n <= 0 restores the default, GOMAXPROCS.
-// Each experiment cell owns its own engine and seeded RNG streams, so
-// results are byte-identical at any width; only wall-clock time changes.
-//
-// Deprecated: this sets the process-wide pool. Use NewSession with
-// WithParallelism for per-campaign width.
-func SetParallelism(n int) { parallel.SetWorkers(n) }
-
 // Parallelism reports the effective worker-pool width.
 func Parallelism() int { return parallel.Workers() }
 
@@ -66,12 +56,6 @@ const (
 	// by the guest hypervisor are delivered straight to its context.
 	HWSVtBypass = hv.ModeHWSVtBypass
 )
-
-// Modes lists the variants in the paper's presentation order.
-//
-// Deprecated: use AllModes, which returns a fresh slice that cannot be
-// mutated out from under concurrent sweeps.
-var Modes = AllModes()
 
 // Time is virtual time in nanoseconds.
 type Time = sim.Time
@@ -137,58 +121,64 @@ func WireIO(cfg *Config) *IOStack {
 type CPUIDResult = exp.CPUIDResult
 
 // CPUIDNative measures native cpuid (Figure 6 "L0").
-func CPUIDNative(n int) CPUIDResult { return exp.CPUIDNative(n) }
+func CPUIDNative(n int) CPUIDResult { return exp.Default.CPUIDNative(n) }
 
 // CPUIDSingleLevel measures single-level guest cpuid (Figure 6 "L1").
-func CPUIDSingleLevel(n int) CPUIDResult { return exp.CPUIDSingleLevel(n) }
+func CPUIDSingleLevel(n int) CPUIDResult { return exp.Default.CPUIDSingleLevel(n) }
 
 // CPUIDNested measures nested cpuid under the given mode (Figure 6
 // "L2" / "SW SVt" / "HW SVt"; Table 1 for Baseline).
-func CPUIDNested(mode Mode, n int) CPUIDResult { return exp.CPUIDNested(mode, n) }
+func CPUIDNested(mode Mode, n int) CPUIDResult { return exp.Default.CPUIDNested(mode, n) }
 
 // CPUIDNestedNoShadowing is the shadowing ablation: the baseline nested
 // cpuid with hardware VMCS shadowing disabled, so every guest-hypervisor
 // field access traps (§2.1).
-func CPUIDNestedNoShadowing(n int) CPUIDResult { return exp.CPUIDNestedNoShadowing(n) }
+func CPUIDNestedNoShadowing(n int) CPUIDResult { return exp.Default.CPUIDNestedNoShadowing(n) }
 
 // CPUIDNestedWithThunkRegs sweeps the context-switch thunk's register
 // count ("dozens of registers", §1).
 func CPUIDNestedWithThunkRegs(mode Mode, regs, n int) CPUIDResult {
-	return exp.CPUIDNestedWithThunkRegs(mode, regs, n)
+	return exp.Default.CPUIDNestedWithThunkRegs(mode, regs, n)
 }
 
 // IOResult is one Figure 7 measurement.
 type IOResult = exp.IOResult
 
 // NetLatency runs netperf TCP_RR (Figure 7).
-func NetLatency(mode Mode, n int) IOResult { return exp.NetLatency(mode, n) }
+func NetLatency(mode Mode, n int) IOResult { return exp.Default.NetLatency(mode, n) }
 
 // NetBandwidth runs netperf TCP_STREAM (Figure 7).
-func NetBandwidth(mode Mode, d Time) IOResult { return exp.NetBandwidth(mode, d) }
+func NetBandwidth(mode Mode, d Time) IOResult { return exp.Default.NetBandwidth(mode, d) }
 
 // DiskLatency runs ioping (Figure 7).
-func DiskLatency(mode Mode, write bool, n int) IOResult { return exp.DiskLatency(mode, write, n) }
+func DiskLatency(mode Mode, write bool, n int) IOResult {
+	return exp.Default.DiskLatency(mode, write, n)
+}
 
 // DiskBandwidth runs fio (Figure 7).
-func DiskBandwidth(mode Mode, write bool, n int) IOResult { return exp.DiskBandwidth(mode, write, n) }
+func DiskBandwidth(mode Mode, write bool, n int) IOResult {
+	return exp.Default.DiskBandwidth(mode, write, n)
+}
 
 // MemcachedResult is one Figure 8 sweep point.
 type MemcachedResult = exp.MemcachedResult
 
 // Memcached runs the §6.3.1 open-loop ETC experiment.
-func Memcached(mode Mode, rate float64, d Time) MemcachedResult { return exp.Memcached(mode, rate, d) }
+func Memcached(mode Mode, rate float64, d Time) MemcachedResult {
+	return exp.Default.Memcached(mode, rate, d)
+}
 
 // TPCC runs the §6.3.2 experiment, returning ktpm (Figure 9).
-func TPCC(mode Mode, d Time) float64 { return exp.TPCC(mode, d) }
+func TPCC(mode Mode, d Time) float64 { return exp.Default.TPCC(mode, d) }
 
 // VideoResult is one Figure 10 bar.
 type VideoResult = exp.VideoResult
 
 // Video runs the §6.3.3 playback experiment (full five minutes).
-func Video(mode Mode, fps int) VideoResult { return exp.Video(mode, fps) }
+func Video(mode Mode, fps int) VideoResult { return exp.Default.Video(mode, fps) }
 
 // VideoN runs the playback experiment over a chosen number of frames.
-func VideoN(mode Mode, fps, frames int) VideoResult { return exp.VideoN(mode, fps, frames) }
+func VideoN(mode Mode, fps, frames int) VideoResult { return exp.Default.VideoN(mode, fps, frames) }
 
 // TraceEntry is one recorded VM exit (observability).
 type TraceEntry = hv.TraceEntry
@@ -196,14 +186,16 @@ type TraceEntry = hv.TraceEntry
 // TraceNestedCPUID runs a nested cpuid workload with exit tracing and
 // returns the most recent ring entries.
 func TraceNestedCPUID(mode Mode, n, ring int) []TraceEntry {
-	return exp.TraceNestedCPUID(mode, n, ring)
+	return exp.Default.TraceNestedCPUID(mode, n, ring)
 }
 
 // ChannelPoint is one §6.1 channel-study cell.
 type ChannelPoint = exp.ChannelPoint
 
 // ChannelStudy sweeps the SW SVt wait policies and placements (§6.1).
-func ChannelStudy(n int, workloads []Time) []ChannelPoint { return exp.ChannelStudy(n, workloads) }
+func ChannelStudy(n int, workloads []Time) []ChannelPoint {
+	return exp.Default.ChannelStudy(n, workloads)
+}
 
 // --- Observability plane -----------------------------------------------
 
@@ -216,22 +208,6 @@ type ObsOptions = obs.Options
 // chrome://tracing JSON), Tracer.WriteSummary (top-N span table) and
 // Metrics.WriteCSV / Metrics.WriteJSON.
 type ObsPlane = obs.Plane
-
-// SetObs arms (or, with nil, disarms) tracing and metrics for all
-// subsequent experiment runs. Arming never perturbs the simulation: the
-// plane only records over virtual time, so results are byte-identical
-// with tracing on or off.
-//
-// Deprecated: this mutates the default session shared by every
-// package-level experiment. Use NewSession(WithObs(...)) so concurrent
-// campaigns cannot race on one plane.
-func SetObs(o *ObsOptions) { exp.SetObs(o) }
-
-// LastObs returns the plane captured by the most recent experiment run
-// (nil when disarmed).
-//
-// Deprecated: use NewSession(WithObs(...)) and (*Session).LastObs.
-func LastObs() *ObsPlane { return exp.LastObs() }
 
 // --- Fault-injection plane ---------------------------------------------
 
@@ -263,13 +239,6 @@ func FaultSites() []string { return fault.Sites() }
 // ("site:rate=0.1,drop;site:delay=20us") into a spec with the given seed.
 func ParseFaultSpec(arg string, seed int64) (*FaultSpec, error) { return fault.ParseSpec(arg, seed) }
 
-// SetFaults arms (or, with nil, clears) fault injection for all
-// subsequent experiment runs.
-//
-// Deprecated: use NewSession(WithFaults(...)) so concurrent campaigns
-// cannot race on one spec.
-func SetFaults(spec *FaultSpec) { exp.SetFaults(spec) }
-
 // FaultSweepResult is one fault-injection run's outcome and recovery
 // counters (watchdog fires, breaker trips, fallbacks).
 type FaultSweepResult = exp.FaultSweepResult
@@ -277,48 +246,48 @@ type FaultSweepResult = exp.FaultSweepResult
 // FaultSweep runs the nested cpuid workload with the given fault spec
 // armed and reports how the recovery machinery coped.
 func FaultSweep(mode Mode, spec *FaultSpec, n int) FaultSweepResult {
-	return exp.FaultSweep(mode, spec, n, nil)
+	return exp.Default.FaultSweep(mode, spec, n, nil)
 }
 
 // FaultCell is one independent fault-sweep run in a grid.
 type FaultCell = exp.FaultCell
 
-// FaultSweepGrid runs every cell on the parallel worker pool (see
-// SetParallelism) and returns results in cell order; the grid is
-// byte-identical to running the cells serially.
-func FaultSweepGrid(cells []FaultCell) []FaultSweepResult { return exp.FaultSweepGrid(cells) }
+// FaultSweepGrid runs every cell on the process-wide worker pool and
+// returns results in cell order; the grid is byte-identical to running
+// the cells serially.
+func FaultSweepGrid(cells []FaultCell) []FaultSweepResult { return exp.Default.FaultSweepGrid(cells) }
 
 // --- Report layer: paper-formatted output ------------------------------
 
 // ReportTable1 prints the Table 1 breakdown next to the paper's numbers.
-func ReportTable1(w io.Writer, n int) { report.Table1(w, n) }
+func ReportTable1(w io.Writer, n int) { report.NewRenderer(nil).Table1(w, n) }
 
 // ReportTable3 prints the code-change inventory (Table 3 analogue).
-func ReportTable3(w io.Writer, root string) { report.Table3(w, root) }
+func ReportTable3(w io.Writer, root string) { report.NewRenderer(nil).Table3(w, root) }
 
 // ReportTable4 prints the modelled machine parameters (Table 4).
-func ReportTable4(w io.Writer) { report.Table4(w) }
+func ReportTable4(w io.Writer) { report.NewRenderer(nil).Table4(w) }
 
 // ReportFigure6 prints the cpuid latency comparison.
-func ReportFigure6(w io.Writer, n int) { report.Figure6(w, n) }
+func ReportFigure6(w io.Writer, n int) { report.NewRenderer(nil).Figure6(w, n) }
 
 // ReportFigure7 prints the I/O subsystem comparison.
-func ReportFigure7(w io.Writer, quick bool) { report.Figure7(w, quick) }
+func ReportFigure7(w io.Writer, quick bool) { report.NewRenderer(nil).Figure7(w, quick) }
 
 // ReportFigure8 prints the memcached load sweep.
-func ReportFigure8(w io.Writer, quick bool) { report.Figure8(w, quick) }
+func ReportFigure8(w io.Writer, quick bool) { report.NewRenderer(nil).Figure8(w, quick) }
 
 // ReportFigure9 prints the TPC-C comparison.
-func ReportFigure9(w io.Writer, quick bool) { report.Figure9(w, quick) }
+func ReportFigure9(w io.Writer, quick bool) { report.NewRenderer(nil).Figure9(w, quick) }
 
 // ReportFigure10 prints the video playback comparison.
-func ReportFigure10(w io.Writer, quick bool) { report.Figure10(w, quick) }
+func ReportFigure10(w io.Writer, quick bool) { report.NewRenderer(nil).Figure10(w, quick) }
 
 // ReportChannels prints the §6.1 channel study.
-func ReportChannels(w io.Writer, quick bool) { report.Channels(w, quick) }
+func ReportChannels(w io.Writer, quick bool) { report.NewRenderer(nil).Channels(w, quick) }
 
 // ReportProfiles prints the §6.2/§6.3 exit-reason profiles.
-func ReportProfiles(w io.Writer) { report.Profiles(w) }
+func ReportProfiles(w io.Writer) { report.NewRenderer(nil).Profiles(w) }
 
 // --- Differential check layer: cross-mode equivalence ------------------
 

@@ -16,7 +16,7 @@ func TestFacadeCPUIDLadder(t *testing.T) {
 }
 
 func TestFacadeMachineConstruction(t *testing.T) {
-	for _, mode := range Modes {
+	for _, mode := range AllModes() {
 		cfg := DefaultConfig(mode)
 		io := WireIO(&cfg)
 		m := NewNestedMachine(cfg)
