@@ -18,42 +18,45 @@ import (
 // --- Table 1 / Figure 6: the cpuid micro-benchmark ----------------------
 
 func BenchmarkTable1BaselineCPUIDBreakdown(b *testing.B) {
+	sess := newTestSession(b)
 	for i := 0; i < b.N; i++ {
-		r := CPUIDNested(Baseline, 500)
+		r := sess.CPUIDNested(Baseline, 500)
 		b.ReportMetric(r.PerOp.Microseconds(), "virt-us/cpuid")
 	}
 }
 
-func benchCPUID(b *testing.B, run func() CPUIDResult) {
+func benchCPUID(b *testing.B, run func(*Session) CPUIDResult) {
+	sess := newTestSession(b)
 	for i := 0; i < b.N; i++ {
-		r := run()
+		r := run(sess)
 		b.ReportMetric(r.PerOp.Microseconds(), "virt-us/cpuid")
 	}
 }
 
 func BenchmarkFigure6NativeL0(b *testing.B) {
-	benchCPUID(b, func() CPUIDResult { return CPUIDNative(500) })
+	benchCPUID(b, func(sess *Session) CPUIDResult { return sess.CPUIDNative(500) })
 }
 func BenchmarkFigure6SingleLevelL1(b *testing.B) {
-	benchCPUID(b, func() CPUIDResult { return CPUIDSingleLevel(500) })
+	benchCPUID(b, func(sess *Session) CPUIDResult { return sess.CPUIDSingleLevel(500) })
 }
 func BenchmarkFigure6NestedL2(b *testing.B) {
-	benchCPUID(b, func() CPUIDResult { return CPUIDNested(Baseline, 500) })
+	benchCPUID(b, func(sess *Session) CPUIDResult { return sess.CPUIDNested(Baseline, 500) })
 }
 func BenchmarkFigure6SWSVt(b *testing.B) {
-	benchCPUID(b, func() CPUIDResult { return CPUIDNested(SWSVt, 500) })
+	benchCPUID(b, func(sess *Session) CPUIDResult { return sess.CPUIDNested(SWSVt, 500) })
 }
 func BenchmarkFigure6HWSVt(b *testing.B) {
-	benchCPUID(b, func() CPUIDResult { return CPUIDNested(HWSVt, 500) })
+	benchCPUID(b, func(sess *Session) CPUIDResult { return sess.CPUIDNested(HWSVt, 500) })
 }
 
 // --- Figure 7: I/O subsystems -------------------------------------------
 
-func benchModes(b *testing.B, run func(Mode) (metric float64, unit string)) {
+func benchModes(b *testing.B, run func(*Session, Mode) (metric float64, unit string)) {
+	sess := newTestSession(b)
 	for _, mode := range AllModes() {
 		b.Run(mode.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				m, unit := run(mode)
+				m, unit := run(sess, mode)
 				b.ReportMetric(m, unit)
 			}
 		})
@@ -61,48 +64,49 @@ func benchModes(b *testing.B, run func(Mode) (metric float64, unit string)) {
 }
 
 func BenchmarkFigure7NetLatency(b *testing.B) {
-	benchModes(b, func(m Mode) (float64, string) {
-		return NetLatency(m, 50).MeanUs, "virt-us/rtt"
+	benchModes(b, func(sess *Session, m Mode) (float64, string) {
+		return sess.NetLatency(m, 50).MeanUs, "virt-us/rtt"
 	})
 }
 
 func BenchmarkFigure7NetBandwidth(b *testing.B) {
-	benchModes(b, func(m Mode) (float64, string) {
-		return NetBandwidth(m, 20*Millisecond).Mbps, "virt-Mbps"
+	benchModes(b, func(sess *Session, m Mode) (float64, string) {
+		return sess.NetBandwidth(m, 20*Millisecond).Mbps, "virt-Mbps"
 	})
 }
 
 func BenchmarkFigure7DiskReadLatency(b *testing.B) {
-	benchModes(b, func(m Mode) (float64, string) {
-		return DiskLatency(m, false, 50).MeanUs, "virt-us/op"
+	benchModes(b, func(sess *Session, m Mode) (float64, string) {
+		return sess.DiskLatency(m, false, 50).MeanUs, "virt-us/op"
 	})
 }
 
 func BenchmarkFigure7DiskWriteLatency(b *testing.B) {
-	benchModes(b, func(m Mode) (float64, string) {
-		return DiskLatency(m, true, 50).MeanUs, "virt-us/op"
+	benchModes(b, func(sess *Session, m Mode) (float64, string) {
+		return sess.DiskLatency(m, true, 50).MeanUs, "virt-us/op"
 	})
 }
 
 func BenchmarkFigure7DiskReadBandwidth(b *testing.B) {
-	benchModes(b, func(m Mode) (float64, string) {
-		return DiskBandwidth(m, false, 80).KBs, "virt-KB/s"
+	benchModes(b, func(sess *Session, m Mode) (float64, string) {
+		return sess.DiskBandwidth(m, false, 80).KBs, "virt-KB/s"
 	})
 }
 
 func BenchmarkFigure7DiskWriteBandwidth(b *testing.B) {
-	benchModes(b, func(m Mode) (float64, string) {
-		return DiskBandwidth(m, true, 80).KBs, "virt-KB/s"
+	benchModes(b, func(sess *Session, m Mode) (float64, string) {
+		return sess.DiskBandwidth(m, true, 80).KBs, "virt-KB/s"
 	})
 }
 
 // --- Figure 8: memcached --------------------------------------------------
 
 func BenchmarkFigure8Memcached(b *testing.B) {
+	sess := newTestSession(b)
 	for _, mode := range []Mode{Baseline, SWSVt} {
 		b.Run(mode.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				r := Memcached(mode, 12000, 100*Millisecond)
+				r := sess.Memcached(mode, 12000, 100*Millisecond)
 				b.ReportMetric(r.P99Us, "virt-p99-us")
 				b.ReportMetric(r.AvgUs, "virt-avg-us")
 			}
@@ -113,10 +117,11 @@ func BenchmarkFigure8Memcached(b *testing.B) {
 // --- Figure 9: TPC-C -------------------------------------------------------
 
 func BenchmarkFigure9TPCC(b *testing.B) {
+	sess := newTestSession(b)
 	for _, mode := range []Mode{Baseline, SWSVt} {
 		b.Run(mode.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				b.ReportMetric(TPCC(mode, 200*Millisecond), "virt-ktpm")
+				b.ReportMetric(sess.TPCC(mode, 200*Millisecond), "virt-ktpm")
 			}
 		})
 	}
@@ -125,10 +130,11 @@ func BenchmarkFigure9TPCC(b *testing.B) {
 // --- Figure 10: video playback --------------------------------------------
 
 func BenchmarkFigure10Video(b *testing.B) {
+	sess := newTestSession(b)
 	for _, mode := range []Mode{Baseline, SWSVt} {
 		b.Run(mode.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				r := VideoN(mode, 120, 6000)
+				r := sess.VideoN(mode, 120, 6000)
 				b.ReportMetric(float64(r.Dropped), "virt-drops")
 			}
 		})
@@ -138,10 +144,11 @@ func BenchmarkFigure10Video(b *testing.B) {
 // --- §6.1: channel study (simulated) ---------------------------------------
 
 func BenchmarkChannelStudy(b *testing.B) {
+	sess := newTestSession(b)
 	for _, pol := range []WaitPolicy{PolicyPoll, PolicyMwait, PolicyMutex} {
 		b.Run(pol.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				pts := ChannelStudy(100, []Time{0})
+				pts := sess.ChannelStudy(100, []Time{0})
 				for _, p := range pts {
 					if p.Policy == pol && p.Placement == PlaceSMT {
 						b.ReportMetric(p.PerOp.Microseconds(), "virt-us/cpuid")
@@ -250,14 +257,15 @@ func BenchmarkHandoffSpin(b *testing.B) {
 // BenchmarkAblationBypass measures the paper's §3.1 future-work extension:
 // delivering L1-owned exits straight to L1's context.
 func BenchmarkAblationBypass(b *testing.B) {
-	benchCPUID(b, func() CPUIDResult { return CPUIDNested(HWSVtBypass, 500) })
+	benchCPUID(b, func(sess *Session) CPUIDResult { return sess.CPUIDNested(HWSVtBypass, 500) })
 }
 
 // BenchmarkAblationNoShadowing quantifies hardware VMCS shadowing by
 // turning it off (every guest-hypervisor field access traps).
 func BenchmarkAblationNoShadowing(b *testing.B) {
+	sess := newTestSession(b)
 	for i := 0; i < b.N; i++ {
-		r := CPUIDNestedNoShadowing(500)
+		r := sess.CPUIDNestedNoShadowing(500)
 		b.ReportMetric(r.PerOp.Microseconds(), "virt-us/cpuid")
 	}
 }
@@ -265,10 +273,11 @@ func BenchmarkAblationNoShadowing(b *testing.B) {
 // BenchmarkAblationThunkRegs sweeps the number of registers the software
 // context-switch thunk moves ("dozens of registers", §1).
 func BenchmarkAblationThunkRegs(b *testing.B) {
+	sess := newTestSession(b)
 	for _, regs := range []int{8, 15, 30, 60} {
 		b.Run(strconv.Itoa(regs), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				r := CPUIDNestedWithThunkRegs(Baseline, regs, 300)
+				r := sess.CPUIDNestedWithThunkRegs(Baseline, regs, 300)
 				b.ReportMetric(r.PerOp.Microseconds(), "virt-us/cpuid")
 			}
 		})

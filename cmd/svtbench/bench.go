@@ -16,9 +16,6 @@ import (
 	"time"
 
 	"svtsim"
-	"svtsim/internal/exp"
-	"svtsim/internal/hv"
-	"svtsim/internal/parallel"
 	"svtsim/internal/sim"
 )
 
@@ -125,7 +122,7 @@ func engineSuite() []BenchResult {
 // experimentSuite: fixed macro cells whose wall-clock ns/op tracks
 // whole-simulator speed (virtual-time results are pinned by tests, so
 // only the wall clock can move).
-func experimentSuite(quick bool) []BenchResult {
+func experimentSuite(sess *svtsim.Session, quick bool) []BenchResult {
 	n := 500
 	dur := 50 * svtsim.Millisecond
 	if quick {
@@ -137,12 +134,12 @@ func experimentSuite(quick bool) []BenchResult {
 		name string
 		run  func()
 	}{
-		{"CPUIDNestedBaseline", func() { svtsim.CPUIDNested(svtsim.Baseline, n) }},
-		{"CPUIDNestedSWSVt", func() { svtsim.CPUIDNested(svtsim.SWSVt, n) }},
-		{"CPUIDNestedHWSVt", func() { svtsim.CPUIDNested(svtsim.HWSVt, n) }},
-		{"NetLatencyBaseline", func() { svtsim.NetLatency(svtsim.Baseline, n/4) }},
-		{"DiskLatencySWSVt", func() { svtsim.DiskLatency(svtsim.SWSVt, false, n/4) }},
-		{"MemcachedSWSVt", func() { svtsim.Memcached(svtsim.SWSVt, 8000, dur) }},
+		{"CPUIDNestedBaseline", func() { sess.CPUIDNested(svtsim.Baseline, n) }},
+		{"CPUIDNestedSWSVt", func() { sess.CPUIDNested(svtsim.SWSVt, n) }},
+		{"CPUIDNestedHWSVt", func() { sess.CPUIDNested(svtsim.HWSVt, n) }},
+		{"NetLatencyBaseline", func() { sess.NetLatency(svtsim.Baseline, n/4) }},
+		{"DiskLatencySWSVt", func() { sess.DiskLatency(svtsim.SWSVt, false, n/4) }},
+		{"MemcachedSWSVt", func() { sess.Memcached(svtsim.SWSVt, 8000, dur) }},
 	}
 	for _, c := range cells {
 		c := c
@@ -159,42 +156,50 @@ func experimentSuite(quick bool) []BenchResult {
 // measureEventsPerSec runs the event-heavy netperf TCP_RR workload (every
 // transaction crosses the NIC, virtio and LAPIC event paths) and reports
 // how many engine events the simulator dispatches per wall-clock second.
-func measureEventsPerSec(quick bool) float64 {
+func measureEventsPerSec(sess *svtsim.Session, quick bool) float64 {
 	n := 400
 	if quick {
 		n = 100
 	}
 	start := time.Now()
-	_, events, _ := exp.Default.NetLatencyEvents(hv.ModeSWSVt, n)
+	_, events, _ := sess.NetLatencyEvents(svtsim.SWSVt, n)
 	elapsed := time.Since(start)
 	return float64(events) / elapsed.Seconds()
 }
 
 // measureParallel times the -all -quick section pipeline serially and on
-// the full pool: the committed speedup is the acceptance metric for the
-// experiment fan-out.
-func measureParallel(workers int) ParallelBaseline {
-	secs := sections(true, 0, 0, "", false, 400, true, ".")
-	timeRun := func(w int) time.Duration {
-		parallel.SetWorkers(w)
-		defer parallel.SetWorkers(workers)
+// the full pool, each on a session of that width: the committed speedup
+// is the acceptance metric for the experiment fan-out.
+func measureParallel(workers int) (ParallelBaseline, error) {
+	timeRun := func(w int) (time.Duration, error) {
+		sess, err := svtsim.NewSession(svtsim.WithParallelism(w))
+		if err != nil {
+			return 0, err
+		}
+		secs := sections(sess, true, 0, 0, "", false, 400, true, ".")
 		start := time.Now()
-		renderAll(io.Discard, secs)
-		return time.Since(start)
+		renderAll(io.Discard, w, secs)
+		return time.Since(start), nil
 	}
 	timeRun(1) // warm-up: page in code and cost tables before timing
-	serial := timeRun(1)
-	par := timeRun(workers)
+	serial, err := timeRun(1)
+	if err != nil {
+		return ParallelBaseline{}, err
+	}
+	par, err := timeRun(workers)
+	if err != nil {
+		return ParallelBaseline{}, err
+	}
 	return ParallelBaseline{
 		Workers:    workers,
 		SerialMs:   float64(serial.Microseconds()) / 1e3,
 		ParallelMs: float64(par.Microseconds()) / 1e3,
 		Speedup:    float64(serial) / float64(par),
-	}
+	}, nil
 }
 
 // runBench runs the full suite and writes the JSON baseline.
-func runBench(w io.Writer, outPath string, quick bool, workers int) error {
+func runBench(w io.Writer, sess *svtsim.Session, outPath string, quick bool, workers int) error {
 	date := time.Now().UTC().Format("2006-01-02")
 	if outPath == "" {
 		outPath = "BENCH_" + date + ".json"
@@ -213,15 +218,19 @@ func runBench(w io.Writer, outPath string, quick bool, workers int) error {
 	}
 
 	fmt.Fprintln(w, "experiment macrobenchmarks:")
-	rep.Experiments = experimentSuite(quick)
+	rep.Experiments = experimentSuite(sess, quick)
 	for _, r := range rep.Experiments {
 		fmt.Fprintf(w, "  %-22s %12.0f ns/op\n", r.Name, r.NsPerOp)
 	}
 
-	rep.EventsPerSec = measureEventsPerSec(quick)
+	rep.EventsPerSec = measureEventsPerSec(sess, quick)
 	fmt.Fprintf(w, "simulated events/sec: %.0f\n", rep.EventsPerSec)
 
-	rep.Parallel = measureParallel(workers)
+	par, err := measureParallel(workers)
+	if err != nil {
+		return err
+	}
+	rep.Parallel = par
 	fmt.Fprintf(w, "parallel -all -quick: serial %.0f ms, %d workers %.0f ms, speedup %.2fx\n",
 		rep.Parallel.SerialMs, rep.Parallel.Workers, rep.Parallel.ParallelMs, rep.Parallel.Speedup)
 

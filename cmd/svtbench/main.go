@@ -13,9 +13,10 @@
 //	svtbench -bench -o BENCH_2026-08-06.json  record the perf-regression baseline
 //	svtbench -trace trace.json  write a Perfetto timeline of a representative run
 //
-// Experiment cells are independent (each owns its engine and RNG
-// streams), so -parallel=N changes wall-clock time only: the output is
-// byte-identical for every N.
+// Every section runs on one svtsim.Session whose worker pool is
+// -parallel wide. Experiment cells are independent (each owns its engine
+// and RNG streams), so -parallel=N changes wall-clock time only: the
+// output is byte-identical for every N.
 package main
 
 import (
@@ -36,33 +37,34 @@ type section struct {
 	run  func(io.Writer)
 }
 
-// sections assembles the selected report sections in presentation order.
-func sections(all bool, table, figure int, micro string, profile bool, n int, quick bool, root string) []section {
+// sections assembles the selected report sections in presentation order,
+// each rendered on sess.
+func sections(sess *svtsim.Session, all bool, table, figure int, micro string, profile bool, n int, quick bool, root string) []section {
 	var secs []section
 	add := func(sel bool, name string, run func(io.Writer)) {
 		if sel {
 			secs = append(secs, section{name: name, run: run})
 		}
 	}
-	add(all || table == 1, "table1", func(w io.Writer) { svtsim.ReportTable1(w, n) })
-	add(all || table == 3, "table3", func(w io.Writer) { svtsim.ReportTable3(w, root) })
-	add(all || table == 4, "table4", func(w io.Writer) { svtsim.ReportTable4(w) })
-	add(all || figure == 6, "figure6", func(w io.Writer) { svtsim.ReportFigure6(w, n) })
-	add(all || figure == 7, "figure7", func(w io.Writer) { svtsim.ReportFigure7(w, quick) })
-	add(all || figure == 8, "figure8", func(w io.Writer) { svtsim.ReportFigure8(w, quick) })
-	add(all || figure == 9, "figure9", func(w io.Writer) { svtsim.ReportFigure9(w, quick) })
-	add(all || figure == 10, "figure10", func(w io.Writer) { svtsim.ReportFigure10(w, quick) })
-	add(all || micro == "channels", "channels", func(w io.Writer) { svtsim.ReportChannels(w, quick) })
-	add(all || profile, "profiles", func(w io.Writer) { svtsim.ReportProfiles(w) })
+	add(all || table == 1, "table1", func(w io.Writer) { sess.ReportTable1(w, n) })
+	add(all || table == 3, "table3", func(w io.Writer) { sess.ReportTable3(w, root) })
+	add(all || table == 4, "table4", func(w io.Writer) { sess.ReportTable4(w) })
+	add(all || figure == 6, "figure6", func(w io.Writer) { sess.ReportFigure6(w, n) })
+	add(all || figure == 7, "figure7", func(w io.Writer) { sess.ReportFigure7(w, quick) })
+	add(all || figure == 8, "figure8", func(w io.Writer) { sess.ReportFigure8(w, quick) })
+	add(all || figure == 9, "figure9", func(w io.Writer) { sess.ReportFigure9(w, quick) })
+	add(all || figure == 10, "figure10", func(w io.Writer) { sess.ReportFigure10(w, quick) })
+	add(all || micro == "channels", "channels", func(w io.Writer) { sess.ReportChannels(w, quick) })
+	add(all || profile, "profiles", func(w io.Writer) { sess.ReportProfiles(w) })
 	return secs
 }
 
-// renderAll renders every section concurrently into its own buffer on the
-// worker pool, then writes the buffers in presentation order. Sections
-// themselves fan their cells out on the same pool, so small sections do
-// not serialize behind big ones.
-func renderAll(w io.Writer, secs []section) {
-	bufs := parallel.Map(len(secs), func(i int) []byte {
+// renderAll renders every section concurrently into its own buffer on a
+// pool of the given width, then writes the buffers in presentation order.
+// Sections themselves fan their cells out on their session's pool, so
+// small sections do not serialize behind big ones.
+func renderAll(w io.Writer, workers int, secs []section) {
+	bufs := parallel.MapN(workers, len(secs), func(i int) []byte {
 		var b bytes.Buffer
 		secs[i].run(&b)
 		return b.Bytes()
@@ -88,7 +90,11 @@ func main() {
 	)
 	flag.Parse()
 
-	parallel.SetWorkers(*workers)
+	sess, err := svtsim.NewSession(svtsim.WithParallelism(*workers))
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
 	w := os.Stdout
 	n := 2000
@@ -107,20 +113,20 @@ func main() {
 	}
 
 	if *bench {
-		if err := runBench(w, *benchOut, *quick, *workers); err != nil {
+		if err := runBench(w, sess, *benchOut, *quick, *workers); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 		return
 	}
 
-	secs := sections(*all, *table, *figure, *micro, *profile, n, *quick, *root)
+	secs := sections(sess, *all, *table, *figure, *micro, *profile, n, *quick, *root)
 	if len(secs) == 0 {
 		fmt.Fprintln(os.Stderr, "nothing selected; try -all, -table N, -figure N, -micro channels, -profile, -bench or -trace FILE")
 		flag.Usage()
 		os.Exit(2)
 	}
-	renderAll(w, secs)
+	renderAll(w, *workers, secs)
 }
 
 // writeTraceArtifact runs one representative experiment — SW-SVt netperf

@@ -22,10 +22,12 @@
 // Observability: -trace out.json writes a Perfetto / chrome://tracing
 // timeline of the run (one track per hardware context), -metrics out.csv
 // dumps every registered counter, and -summary N prints a top-N
-// "where did the cycles go" table. None of these perturb the simulated
-// results.
+// "where did the cycles go" table. -dump-exits N prints the newest N VM
+// exits L0 handled in a cpuid run, read from the same obs plane. None of
+// these perturb the simulated results.
 //
 //	svtsim -mode sw-svt -workload netrr -n 200 -trace out.json -metrics out.csv -summary 10
+//	svtsim -mode baseline -workload cpuid -n 100 -dump-exits 20
 //
 // Differential checking: -check N generates N seeded schedules and runs
 // each under every mode, comparing guest-visible outcomes; failures are
@@ -73,10 +75,14 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strings"
 	"time"
 
 	"svtsim"
+	"svtsim/internal/isa"
+	"svtsim/internal/machine"
+	"svtsim/internal/obs"
 )
 
 // buildFaultSpec combines the -faults spec syntax with the -fault-rate
@@ -237,7 +243,7 @@ func main() {
 		opts = append(opts, svtsim.WithFaults(spec))
 	}
 	wantObs := *trace != "" || *metrics != "" || *summary > 0
-	if wantObs {
+	if wantObs || *dumpExits > 0 && *workload == "cpuid" {
 		opts = append(opts, svtsim.WithObs(&svtsim.ObsOptions{RingCap: *obsRing}))
 	}
 	sess, err := svtsim.NewSession(opts...)
@@ -301,9 +307,7 @@ func main() {
 		r := sess.CPUIDNested(mode, *n)
 		fmt.Printf("nested cpuid (%s): %v per instruction\n", mode, r.PerOp)
 		if *dumpExits > 0 {
-			for _, e := range sess.TraceNestedCPUID(mode, *n, *dumpExits) {
-				fmt.Println(" ", e.String())
-			}
+			printExits(sess.LastObs(), *dumpExits)
 		}
 	case "netrr":
 		r := sess.NetLatency(mode, *n)
@@ -334,6 +338,46 @@ func main() {
 
 	if wantObs {
 		writeObs(sess, *trace, *metrics, *summary)
+	}
+}
+
+// printExits prints the newest n VM exits L0 handled in the plane's run,
+// in the order they completed: direct exits of the guest hypervisor's
+// vCPUs and nested exits of L2. The spans the guest hypervisor records
+// for its own view of L2 are left out.
+func printExits(plane *svtsim.ObsPlane, n int) {
+	tr := plane.Tracer
+	var exits []obs.Event
+	for i := 0; i < tr.Contexts(); i++ {
+		ring := tr.Ring(i)
+		if ring.Total() > uint64(ring.Cap()) {
+			fmt.Fprintf(os.Stderr, "dump-exits: %s dropped its oldest events; raise -obs-ring to keep them\n", tr.TrackName(i))
+		}
+		ring.Do(func(e obs.Event) {
+			if e.Kind == obs.KindNestedExit || e.Kind == obs.KindVMExit && tr.Lookup(e.Label) != machine.L1ViewVCPU {
+				exits = append(exits, e)
+			}
+		})
+	}
+	// Completion order is record order; at equal ends the inner span (the
+	// later start) completed first.
+	sort.SliceStable(exits, func(i, j int) bool {
+		a, b := exits[i], exits[j]
+		if a.At+a.Dur != b.At+b.Dur {
+			return a.At+a.Dur < b.At+b.Dur
+		}
+		return a.At > b.At
+	})
+	if len(exits) > n {
+		exits = exits[len(exits)-n:]
+	}
+	for _, e := range exits {
+		lvl := "direct"
+		if e.Kind == obs.KindNestedExit {
+			lvl = "nested"
+		}
+		fmt.Printf("  %-10s %-8s %-6s %-20s qual=%#x took=%s\n",
+			e.At, tr.Lookup(e.Label), lvl, tr.ExitName(isa.ExitReason(e.Arg1)), e.Arg2, e.Dur)
 	}
 }
 

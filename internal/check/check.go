@@ -7,19 +7,14 @@ import (
 	"path/filepath"
 )
 
-// RunBudget generates and checks n schedules from consecutive seeds
+// RunBudgetOpts generates and checks n schedules from consecutive seeds
 // starting at seed, logging verdicts to w. Every failure is shrunk and
 // written as a repro file under dir (created if needed; skipped when dir
-// is empty). It returns the number of failing schedules.
-func RunBudget(w io.Writer, n int, seed int64, dir string) int {
-	return RunBudgetOpts(w, n, seed, dir, nil)
-}
-
-// RunBudgetOpts is RunBudget with run options — most usefully a
-// non-default architecture port, so the differential oracle checks
-// mode-equivalence on every port, not just x86. Shrinking runs under
-// the same options, so a repro minimized on one port stays failing on
-// that port.
+// is empty). It returns the number of failing schedules. opts (nil for
+// the defaults) most usefully selects a non-default architecture port,
+// so the differential oracle checks mode-equivalence on every port, not
+// just x86. Shrinking runs under the same options, so a repro minimized
+// on one port stays failing on that port.
 func RunBudgetOpts(w io.Writer, n int, seed int64, dir string, opts *RunOpts) int {
 	failures := 0
 	for i := 0; i < n; i++ {

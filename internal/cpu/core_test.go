@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"testing"
+	"time"
 
 	"svtsim/internal/apic"
 	"svtsim/internal/cost"
@@ -482,4 +483,57 @@ func TestNativeGuestPhysicalIRQExit(t *testing.T) {
 		t.Fatalf("exit = %v", e)
 	}
 	g.Kill()
+}
+
+// Regression: Kill used a non-blocking send, so a guest that had handed
+// off its exit but not yet parked on its resume channel was skipped and
+// its goroutine leaked, keeping its machine alive. The goroutine below
+// stands in for a guest caught in that window.
+func TestNativeGuestKillBeforePark(t *testing.T) {
+	g := NewNativeGuest("l1", testCore(1), 0, nil)
+	g.started = true
+	g.port.dead = make(chan struct{})
+	go func() {
+		defer close(g.port.dead)
+		defer func() {
+			if _, ok := recover().(killSentinel); ok {
+				g.finished = true
+			}
+		}()
+		time.Sleep(20 * time.Millisecond) // exit handed off, not yet parked
+		if (<-g.resume).kill {
+			panic(killSentinel{})
+		}
+	}()
+	g.Kill()
+	if !g.Finished() {
+		t.Fatal("Kill returned before the guest goroutine unwound")
+	}
+}
+
+// A panic in a native guest body surfaces on the goroutine that ran the
+// guest, where the caller's recover can contain it, instead of crashing
+// the process from the guest's own goroutine.
+func TestNativeGuestPanicReachesCaller(t *testing.T) {
+	c := testCore(1)
+	v := newVMCS("vmcs01", 1)
+	g := NewNativeGuest("l1", c, 0, func(p *Port) {
+		p.Exec(isa.CPUID(0))
+		panic("guest bug")
+	})
+	if e := c.RunGuest(0, v, g, nil); e.Reason != isa.ExitCPUID {
+		t.Fatalf("exit = %v", e)
+	}
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		c.RunGuest(0, v, g, nil)
+		return nil
+	}()
+	if got != "guest bug" {
+		t.Fatalf("recovered %v, want the guest's panic", got)
+	}
+	if !g.Finished() {
+		t.Fatal("a panicked guest must be finished")
+	}
+	g.Kill() // no-op: the goroutine is gone
 }

@@ -159,7 +159,10 @@ type NativeGuest struct {
 	parkedIdle bool
 
 	resume chan resumeMsg
-	yield  chan *isa.Exit
+	yield  chan *isa.Exit // nil hands over a panic from the body
+	// panicked is the body's panic value, re-raised by runNative on the
+	// goroutine that ran the guest.
+	panicked any
 }
 
 // NewNativeGuest creates a native guest bound to context ctx of core c.
@@ -192,17 +195,17 @@ func (g *NativeGuest) DeliverIRQ(vec int) {
 	}
 }
 
-// Kill unwinds a parked native guest's goroutine. It is a no-op for
-// guests that never started or already finished.
+// Kill unwinds a parked native guest's goroutine and waits for it to
+// exit. It is a no-op for guests that never started or already finished.
+// A started guest is always parked or about to park on its resume
+// channel (it has handed off its last exit), so the send cannot block
+// for long.
 func (g *NativeGuest) Kill() {
 	if !g.started || g.finished {
 		return
 	}
-	select {
-	case g.resume <- resumeMsg{kill: true}:
-		<-g.port.dead
-	default:
-	}
+	g.resume <- resumeMsg{kill: true}
+	<-g.port.dead
 }
 
 func (c *Core) runNative(ctx ContextID, v *vmcs.VMCS, g *NativeGuest) *isa.Exit {
@@ -215,11 +218,14 @@ func (c *Core) runNative(ctx ContextID, v *vmcs.VMCS, g *NativeGuest) *isa.Exit 
 			defer close(g.port.dead)
 			defer func() {
 				if r := recover(); r != nil {
+					g.finished = true
 					if _, ok := r.(killSentinel); ok {
-						g.finished = true
 						return
 					}
-					panic(r)
+					// Hand the panic to the goroutine that ran the guest,
+					// so the caller's recover sees it.
+					g.panicked = r
+					g.yield <- nil
 				}
 			}()
 			g.body(g.port)
@@ -230,6 +236,9 @@ func (c *Core) runNative(ctx ContextID, v *vmcs.VMCS, g *NativeGuest) *isa.Exit 
 		g.resume <- resumeMsg{}
 	}
 	e := <-g.yield
+	if e == nil {
+		panic(g.panicked)
+	}
 	return c.exitGuest(ctx, v, e)
 }
 

@@ -105,18 +105,6 @@ func (s *Session) CPUIDNestedWithThunkRegs(mode hv.Mode, regs, n int) CPUIDResul
 	return CPUIDResult{Label: "thunk-sweep", PerOp: m.Now() / sim.Time(n)}
 }
 
-// TraceNestedCPUID runs a nested cpuid workload with an exit trace
-// attached to L0 and returns the retained entries (newest-window).
-func (s *Session) TraceNestedCPUID(mode hv.Mode, n, ring int) []hv.TraceEntry {
-	m := machine.NewNested(s.config(mode))
-	tr := hv.NewTrace(ring)
-	m.L0.SetTrace(tr)
-	m.SetL2Workload(&cpuidLoop{n: n})
-	s.run(m)
-	m.Shutdown()
-	return tr.Entries()
-}
-
 // IOResult is one Figure 7 measurement.
 type IOResult struct {
 	Mode      hv.Mode

@@ -1,9 +1,12 @@
 package exp
 
 import (
+	"strings"
 	"testing"
 
+	"svtsim/internal/cpu"
 	"svtsim/internal/hv"
+	"svtsim/internal/machine"
 	"svtsim/internal/sim"
 	"svtsim/internal/swsvt"
 )
@@ -11,9 +14,10 @@ import (
 func speedup(base, x float64) float64 { return base / x }
 
 func TestFigure7NetLatency(t *testing.T) {
-	base := Default.NetLatency(hv.ModeBaseline, 60)
-	sw := Default.NetLatency(hv.ModeSWSVt, 60)
-	hw := Default.NetLatency(hv.ModeHWSVt, 60)
+	sess := NewSession()
+	base := sess.NetLatency(hv.ModeBaseline, 60)
+	sw := sess.NetLatency(hv.ModeSWSVt, 60)
+	hw := sess.NetLatency(hv.ModeHWSVt, 60)
 	t.Logf("net lat: base=%.1fus sw=%.1f (%.2fx) hw=%.1f (%.2fx)",
 		base.MeanUs, sw.MeanUs, speedup(base.MeanUs, sw.MeanUs), hw.MeanUs, speedup(base.MeanUs, hw.MeanUs))
 	if !(hw.MeanUs < sw.MeanUs && sw.MeanUs < base.MeanUs) {
@@ -29,10 +33,11 @@ func TestFigure7NetLatency(t *testing.T) {
 }
 
 func TestFigure7NetBandwidth(t *testing.T) {
+	sess := NewSession()
 	d := 50 * sim.Millisecond
-	base := Default.NetBandwidth(hv.ModeBaseline, d)
-	sw := Default.NetBandwidth(hv.ModeSWSVt, d)
-	hw := Default.NetBandwidth(hv.ModeHWSVt, d)
+	base := sess.NetBandwidth(hv.ModeBaseline, d)
+	sw := sess.NetBandwidth(hv.ModeSWSVt, d)
+	hw := sess.NetBandwidth(hv.ModeHWSVt, d)
 	t.Logf("net bw: base=%.0f Mbps sw=%.0f (%.2fx) hw=%.0f (%.2fx)",
 		base.Mbps, sw.Mbps, sw.Mbps/base.Mbps, hw.Mbps, hw.Mbps/base.Mbps)
 	// Paper: baseline ~9387 Mbps (near the physical 10 Gb/s limit),
@@ -52,10 +57,11 @@ func TestFigure7NetBandwidth(t *testing.T) {
 }
 
 func TestFigure7DiskLatency(t *testing.T) {
+	sess := NewSession()
 	for _, write := range []bool{false, true} {
-		base := Default.DiskLatency(hv.ModeBaseline, write, 60)
-		sw := Default.DiskLatency(hv.ModeSWSVt, write, 60)
-		hw := Default.DiskLatency(hv.ModeHWSVt, write, 60)
+		base := sess.DiskLatency(hv.ModeBaseline, write, 60)
+		sw := sess.DiskLatency(hv.ModeSWSVt, write, 60)
+		hw := sess.DiskLatency(hv.ModeHWSVt, write, 60)
 		t.Logf("disk lat write=%v: base=%.1fus sw=%.1f (%.2fx) hw=%.1f (%.2fx)",
 			write, base.MeanUs, sw.MeanUs, speedup(base.MeanUs, sw.MeanUs), hw.MeanUs, speedup(base.MeanUs, hw.MeanUs))
 		if !(hw.MeanUs < sw.MeanUs && sw.MeanUs < base.MeanUs) {
@@ -65,10 +71,11 @@ func TestFigure7DiskLatency(t *testing.T) {
 }
 
 func TestFigure7DiskBandwidth(t *testing.T) {
+	sess := NewSession()
 	for _, write := range []bool{false, true} {
-		base := Default.DiskBandwidth(hv.ModeBaseline, write, 100)
-		sw := Default.DiskBandwidth(hv.ModeSWSVt, write, 100)
-		hw := Default.DiskBandwidth(hv.ModeHWSVt, write, 100)
+		base := sess.DiskBandwidth(hv.ModeBaseline, write, 100)
+		sw := sess.DiskBandwidth(hv.ModeSWSVt, write, 100)
+		hw := sess.DiskBandwidth(hv.ModeHWSVt, write, 100)
 		t.Logf("disk bw write=%v: base=%.0f KB/s sw=%.0f (%.2fx) hw=%.0f (%.2fx)",
 			write, base.KBs, sw.KBs, sw.KBs/base.KBs, hw.KBs, hw.KBs/base.KBs)
 		if !(hw.KBs > sw.KBs && sw.KBs > base.KBs) {
@@ -78,17 +85,18 @@ func TestFigure7DiskBandwidth(t *testing.T) {
 }
 
 func TestFigure8MemcachedShape(t *testing.T) {
+	sess := NewSession()
 	d := 300 * sim.Millisecond
 	// At low load both systems meet the SLA; at high load the baseline's
 	// 99th percentile blows past 500us while SVt still holds.
-	lowB := Default.Memcached(hv.ModeBaseline, 4000, d)
-	lowS := Default.Memcached(hv.ModeSWSVt, 4000, d)
+	lowB := sess.Memcached(hv.ModeBaseline, 4000, d)
+	lowS := sess.Memcached(hv.ModeSWSVt, 4000, d)
 	t.Logf("4k qps: base p99=%.0fus avg=%.0f | svt p99=%.0fus avg=%.0f", lowB.P99Us, lowB.AvgUs, lowS.P99Us, lowS.AvgUs)
 	if lowB.P99Us > 500 {
 		t.Errorf("baseline must meet the SLA at low load, p99=%.0fus", lowB.P99Us)
 	}
-	highB := Default.Memcached(hv.ModeBaseline, 16000, d)
-	highS := Default.Memcached(hv.ModeSWSVt, 16000, d)
+	highB := sess.Memcached(hv.ModeBaseline, 16000, d)
+	highS := sess.Memcached(hv.ModeSWSVt, 16000, d)
 	t.Logf("16k qps: base p99=%.0fus avg=%.0f | svt p99=%.0fus avg=%.0f", highB.P99Us, highB.AvgUs, highS.P99Us, highS.AvgUs)
 	if highB.P99Us < 500 {
 		t.Errorf("baseline should violate the SLA at high load, p99=%.0fus", highB.P99Us)
@@ -99,9 +107,10 @@ func TestFigure8MemcachedShape(t *testing.T) {
 }
 
 func TestFigure9TPCCShape(t *testing.T) {
+	sess := NewSession()
 	d := 400 * sim.Millisecond
-	base := Default.TPCC(hv.ModeBaseline, d)
-	sw := Default.TPCC(hv.ModeSWSVt, d)
+	base := sess.TPCC(hv.ModeBaseline, d)
+	sw := sess.TPCC(hv.ModeSWSVt, d)
 	t.Logf("tpcc: base=%.2f ktpm svt=%.2f (%.2fx)", base, sw, sw/base)
 	if sw <= base {
 		t.Errorf("SVt must improve TPC-C throughput: %.2f vs %.2f", sw, base)
@@ -113,15 +122,16 @@ func TestFigure9TPCCShape(t *testing.T) {
 }
 
 func TestFigure10VideoShape(t *testing.T) {
+	sess := NewSession()
 	// 24 FPS: nobody drops (shortened run). 120 FPS: the baseline drops
 	// more than SVt (Figure 10 reports 40 vs 0.65x at full length).
-	b24 := Default.VideoN(hv.ModeBaseline, 24, 24*60)
+	b24 := sess.VideoN(hv.ModeBaseline, 24, 24*60)
 	if b24.Dropped != 0 {
 		t.Errorf("24 FPS baseline dropped %d frames, want 0", b24.Dropped)
 	}
 	const frames = 12000 // 100 s of playback keeps the test quick
-	b120 := Default.VideoN(hv.ModeBaseline, 120, frames)
-	s120 := Default.VideoN(hv.ModeSWSVt, 120, frames)
+	b120 := sess.VideoN(hv.ModeBaseline, 120, frames)
+	s120 := sess.VideoN(hv.ModeSWSVt, 120, frames)
 	t.Logf("video 120fps (%d frames): base dropped=%d svt dropped=%d", frames, b120.Dropped, s120.Dropped)
 	if b120.Dropped == 0 {
 		t.Errorf("baseline at 120 FPS should drop frames")
@@ -132,11 +142,12 @@ func TestFigure10VideoShape(t *testing.T) {
 }
 
 func TestCPUIDFigure6(t *testing.T) {
-	l0 := Default.CPUIDNative(200)
-	l1 := Default.CPUIDSingleLevel(200)
-	l2 := Default.CPUIDNested(hv.ModeBaseline, 500)
-	sw := Default.CPUIDNested(hv.ModeSWSVt, 500)
-	hwr := Default.CPUIDNested(hv.ModeHWSVt, 500)
+	sess := NewSession()
+	l0 := sess.CPUIDNative(200)
+	l1 := sess.CPUIDSingleLevel(200)
+	l2 := sess.CPUIDNested(hv.ModeBaseline, 500)
+	sw := sess.CPUIDNested(hv.ModeSWSVt, 500)
+	hwr := sess.CPUIDNested(hv.ModeHWSVt, 500)
 	t.Logf("fig6: L0=%v L1=%v L2=%v SW=%v HW=%v", l0.PerOp, l1.PerOp, l2.PerOp, sw.PerOp, hwr.PerOp)
 	if !(l0.PerOp < l1.PerOp && l1.PerOp < hwr.PerOp && hwr.PerOp < sw.PerOp && sw.PerOp < l2.PerOp) {
 		t.Error("Figure 6 ordering violated")
@@ -144,7 +155,8 @@ func TestCPUIDFigure6(t *testing.T) {
 }
 
 func TestChannelStudyShape(t *testing.T) {
-	pts := Default.ChannelStudy(150, []sim.Time{0, 20 * sim.Microsecond})
+	sess := NewSession()
+	pts := sess.ChannelStudy(150, []sim.Time{0, 20 * sim.Microsecond})
 	get := func(pol swsvt.Policy, place swsvt.Placement, wl sim.Time) sim.Time {
 		for _, p := range pts {
 			if p.Policy == pol && p.Placement == place && p.Workload == wl {
@@ -164,7 +176,7 @@ func TestChannelStudyShape(t *testing.T) {
 	if !(mwaitSMT0 < pollSMT0) {
 		t.Errorf("mwait (%v) must beat polling (%v): polling steals sibling cycles", mwaitSMT0, pollSMT0)
 	}
-	base := Default.CPUIDNested(hv.ModeBaseline, 150).PerOp
+	base := sess.CPUIDNested(hv.ModeBaseline, 150).PerOp
 	if sp := float64(base) / float64(pollSMT0); sp > 1.12 {
 		t.Errorf("polling should offer very little acceleration, got %.2fx", sp)
 	}
@@ -183,5 +195,32 @@ func TestChannelStudyShape(t *testing.T) {
 	mwaitNUMA := get(swsvt.PolicyMwait, swsvt.PlaceCrossNUMA, 0)
 	if float64(mwaitNUMA) < 1.3*float64(mwaitSMT0) {
 		t.Errorf("cross-NUMA (%v) must be far worse than SMT (%v)", mwaitNUMA, mwaitSMT0)
+	}
+}
+
+// A panic on a native-guest goroutine (here the SW-SVt thread's setup of
+// L1's devices) is contained like any simulation panic: it reaches the
+// run's caller stamped with the seeds, and the machine's other parked
+// guests are unwound rather than leaked.
+func TestGuestPanicIsContained(t *testing.T) {
+	sess := NewSession()
+	cfg := sess.config(hv.ModeSWSVt)
+	cfg.WireL1 = func(*machine.Machine, *hv.Hypervisor, *hv.VirtualPlatform, *cpu.Port) {
+		panic("l1 device bug")
+	}
+	m := machine.NewNested(cfg)
+	m.SetL2Workload(&cpuidLoop{n: 10})
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		sess.run(m)
+		return nil
+	}()
+	msg, _ := got.(string)
+	if !strings.Contains(msg, "exp: run failed (seed=") || !strings.Contains(msg, "l1 device bug") {
+		t.Fatalf("recovered %v, want the annotated guest panic", got)
+	}
+	if !m.L1Guest.Finished() || !m.SVtGuest.Finished() {
+		t.Fatalf("guests left running: L1 finished=%v, SVt-thread finished=%v",
+			m.L1Guest.Finished(), m.SVtGuest.Finished())
 	}
 }

@@ -14,6 +14,7 @@ import (
 // The run must complete — no hang — with the watchdog absorbing the lost
 // wakeups and virtual time advancing throughout.
 func TestFaultSweepLostWakeupsAndIPIs(t *testing.T) {
+	sess := NewSession()
 	spec := &fault.Spec{
 		Seed: 11,
 		Sites: []fault.SiteConfig{
@@ -21,7 +22,7 @@ func TestFaultSweepLostWakeupsAndIPIs(t *testing.T) {
 			{Site: fault.SiteIPI, Rate: 0.05, Drop: true},
 		},
 	}
-	r := Default.FaultSweep(hv.ModeSWSVt, spec, 400, nil)
+	r := sess.FaultSweep(hv.ModeSWSVt, spec, 400, nil)
 	t.Logf("%s", r.StatsLine())
 	if !r.Completed {
 		t.Fatal("fault sweep did not complete")
@@ -40,7 +41,7 @@ func TestFaultSweepLostWakeupsAndIPIs(t *testing.T) {
 	}
 	// The healthy run of the same workload finishes in ~3.5ms; the faulty
 	// run must cost more (watchdog waits) but still terminate promptly.
-	healthy := Default.FaultSweep(hv.ModeSWSVt, nil, 400, nil)
+	healthy := sess.FaultSweep(hv.ModeSWSVt, nil, 400, nil)
 	if r.Total <= healthy.Total {
 		t.Fatalf("faulty run (%v) not slower than healthy run (%v)", r.Total, healthy.Total)
 	}
@@ -51,6 +52,7 @@ func TestFaultSweepLostWakeupsAndIPIs(t *testing.T) {
 // per-VCPU breaker must trip, route reflections to the baseline
 // trap/resume path while open, and re-arm once the burst ends.
 func TestFaultSweepBreakerTripsAndRecovers(t *testing.T) {
+	sess := NewSession()
 	spec := &fault.Spec{
 		Seed: 1,
 		Sites: []fault.SiteConfig{
@@ -61,7 +63,7 @@ func TestFaultSweepBreakerTripsAndRecovers(t *testing.T) {
 			{Site: fault.SiteSVtWakeup, Every: 1, After: 50, Limit: 20, Drop: true},
 		},
 	}
-	r := Default.FaultSweep(hv.ModeSWSVt, spec, 400, nil)
+	r := sess.FaultSweep(hv.ModeSWSVt, spec, 400, nil)
 	t.Logf("%s", r.StatsLine())
 	if !r.Completed {
 		t.Fatal("run did not complete")
@@ -92,6 +94,7 @@ func TestFaultSweepBreakerTripsAndRecovers(t *testing.T) {
 // TestFaultSweepDeterminism pins the reproducibility contract: two runs
 // with the identical spec (same fault seed) produce byte-identical stats.
 func TestFaultSweepDeterminism(t *testing.T) {
+	sess := NewSession()
 	mk := func() *fault.Spec {
 		return &fault.Spec{
 			Seed: 99,
@@ -102,8 +105,8 @@ func TestFaultSweepDeterminism(t *testing.T) {
 			},
 		}
 	}
-	a := Default.FaultSweep(hv.ModeSWSVt, mk(), 300, nil)
-	b := Default.FaultSweep(hv.ModeSWSVt, mk(), 300, nil)
+	a := sess.FaultSweep(hv.ModeSWSVt, mk(), 300, nil)
+	b := sess.FaultSweep(hv.ModeSWSVt, mk(), 300, nil)
 	if a.StatsLine() != b.StatsLine() {
 		t.Fatalf("same fault seed diverged:\n  %s\n  %s", a.StatsLine(), b.StatsLine())
 	}
@@ -111,7 +114,7 @@ func TestFaultSweepDeterminism(t *testing.T) {
 	// or the determinism check above proves nothing.
 	c := mk()
 	c.Seed = 100
-	d := Default.FaultSweep(hv.ModeSWSVt, c, 300, nil)
+	d := sess.FaultSweep(hv.ModeSWSVt, c, 300, nil)
 	if d.StatsLine() == a.StatsLine() {
 		t.Fatal("changing the fault seed changed nothing; injection looks seed-independent")
 	}
@@ -120,9 +123,10 @@ func TestFaultSweepDeterminism(t *testing.T) {
 // TestFaultSweepDisabledMatchesBaseline: with no fault spec the sweep
 // harness must reproduce the plain experiment bit-for-bit.
 func TestFaultSweepDisabledMatchesBaseline(t *testing.T) {
+	sess := NewSession()
 	for _, mode := range []hv.Mode{hv.ModeSWSVt, hv.ModeBaseline} {
-		r := Default.FaultSweep(mode, nil, 200, nil)
-		plain := Default.CPUIDNested(mode, 200)
+		r := sess.FaultSweep(mode, nil, 200, nil)
+		plain := sess.CPUIDNested(mode, 200)
 		if r.PerOp != plain.PerOp {
 			t.Fatalf("%v: fault harness perturbed a healthy run: %v != %v", mode, r.PerOp, plain.PerOp)
 		}
@@ -135,18 +139,18 @@ func TestFaultSweepDisabledMatchesBaseline(t *testing.T) {
 // TestFaultSweepDelayedIRQs: delayed (not dropped) host IRQ delivery must
 // slow the I/O path but never wedge it.
 func TestFaultSweepDelayedIRQs(t *testing.T) {
+	sess := NewSession()
 	spec := &fault.Spec{
 		Seed: 5,
 		Sites: []fault.SiteConfig{
 			{Site: fault.SiteIRQ, Rate: 0.5, Delay: 20 * sim.Microsecond, Jitter: 10 * sim.Microsecond},
 		},
 	}
-	Default.SetFaults(spec)
-	defer Default.SetFaults(nil)
-	r := Default.DiskLatency(hv.ModeSWSVt, false, 50)
+	sess.SetFaults(spec)
+	r := sess.DiskLatency(hv.ModeSWSVt, false, 50)
 	healthySpec := (*fault.Spec)(nil)
-	Default.SetFaults(healthySpec)
-	h := Default.DiskLatency(hv.ModeSWSVt, false, 50)
+	sess.SetFaults(healthySpec)
+	h := sess.DiskLatency(hv.ModeSWSVt, false, 50)
 	if r.MeanUs <= h.MeanUs {
 		t.Fatalf("delayed IRQs did not slow disk reads: %0.1fus <= %0.1fus", r.MeanUs, h.MeanUs)
 	}
@@ -157,6 +161,7 @@ func TestFaultSweepDelayedIRQs(t *testing.T) {
 // each cell owns its machine and seeded fault plane, and results are
 // ordered by cell index.
 func TestFaultSweepGridParallelDeterminism(t *testing.T) {
+	sess := NewSession()
 	mkCells := func() []FaultCell {
 		var cells []FaultCell
 		for _, rate := range []float64{0, 0.05, 0.30} {
@@ -176,9 +181,9 @@ func TestFaultSweepGridParallelDeterminism(t *testing.T) {
 	}
 	defer parallel.SetWorkers(0)
 	parallel.SetWorkers(1)
-	serial := Default.FaultSweepGrid(mkCells())
+	serial := sess.FaultSweepGrid(mkCells())
 	parallel.SetWorkers(8)
-	par := Default.FaultSweepGrid(mkCells())
+	par := sess.FaultSweepGrid(mkCells())
 	if len(serial) != len(par) {
 		t.Fatalf("cell counts differ: %d vs %d", len(serial), len(par))
 	}

@@ -40,9 +40,6 @@ type Session struct {
 	port    ports.Port
 }
 
-// Default is the session behind the svtsim package-level functions.
-var Default = NewSession()
-
 // NewSession returns a session with the calibrated defaults: no faults,
 // no observability, the global worker pool, the paper's 2x8x2 testbed
 // topology.
@@ -206,11 +203,15 @@ func (s *Session) runSingle(m *machine.Machine) *hv.Profile {
 	return p
 }
 
+// annotatePanic stamps a run's panic with its seeds and unwinds the
+// machine's parked native guests, so a contained panic leaks no
+// goroutines.
 func annotatePanic(m *machine.Machine) {
 	r := recover()
 	if r == nil {
 		return
 	}
+	m.Shutdown()
 	faults, fseed := "none", int64(0)
 	if m.Faults != nil {
 		faults = m.Cfg.Faults.String()

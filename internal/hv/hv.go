@@ -237,8 +237,7 @@ type Hypervisor struct {
 	// reasons (the §6.2/§6.3 profiles: EPT_MISCONFIG, MSR_WRITE shares).
 	NestedProf Profile
 
-	trace *Trace
-	obs   *obs.Tracer
+	obs *obs.Tracer
 
 	// Stopped is set when the run loop ends (guest done or deadlock).
 	Stopped bool
@@ -313,7 +312,7 @@ func (h *Hypervisor) RunLoop(vc *VCPU) {
 		h.Prof.Time[e.Reason] += d
 		h.Prof.Count[e.Reason]++
 		h.Prof.Total += d
-		h.traceExit(vc, e, false, start)
+		h.traceExit(vc, obs.KindVMExit, e, start)
 		if stop {
 			h.Stopped = true
 			return

@@ -1,103 +1,19 @@
 package hv
 
 import (
-	"strings"
 	"testing"
 
 	"svtsim/internal/cpu"
 	"svtsim/internal/isa"
 	"svtsim/internal/obs"
-	"svtsim/internal/sim"
 )
 
-// Regression: the pre-obs Trace grew its backing slice lazily and its
-// total/wrap accounting could disagree right as the ring crossed
-// capacity. The window must be the most recent n entries in record
-// order at every length of the run.
-func TestTraceWindowOrderingPastCap(t *testing.T) {
-	const capacity = 3
-	tr := NewTrace(capacity)
-	for i := 0; i < 10; i++ {
-		tr.add(TraceEntry{At: sim.Time(i), Qual: uint64(i), Reason: isa.ExitCPUID})
-		if tr.Total() != uint64(i+1) {
-			t.Fatalf("after %d adds: Total() = %d", i+1, tr.Total())
-		}
-		es := tr.Entries()
-		want := i + 1
-		if want > capacity {
-			want = capacity
-		}
-		if len(es) != want {
-			t.Fatalf("after %d adds: retained %d, want %d", i+1, len(es), want)
-		}
-		for j, e := range es {
-			expect := uint64(i + 1 - len(es) + j)
-			if e.Qual != expect {
-				t.Fatalf("after %d adds: position %d holds qual %d, want %d", i+1, j, e.Qual, expect)
-			}
-		}
-	}
-}
-
-func TestTraceSingleEntryRing(t *testing.T) {
-	tr := NewTrace(1)
-	for i := 0; i < 4; i++ {
-		tr.add(TraceEntry{VCPU: "L1.vcpu0", Qual: uint64(i), Reason: isa.ExitVMWrite, Nested: i%2 == 1})
-	}
-	if tr.Total() != 4 {
-		t.Fatalf("Total() = %d", tr.Total())
-	}
-	es := tr.Entries()
-	if len(es) != 1 {
-		t.Fatalf("retained %d entries", len(es))
-	}
-	e := es[0]
-	if e.Qual != 3 || e.VCPU != "L1.vcpu0" || e.Reason != isa.ExitVMWrite || !e.Nested {
-		t.Fatalf("last entry reconstructed wrong: %+v", e)
-	}
-}
-
-// Entries rebuilt from the flat event representation must round-trip
-// every field, including the nested flag and the interned vCPU name.
-func TestTraceEntryRoundTrip(t *testing.T) {
-	tr := NewTrace(8)
-	in := TraceEntry{
-		At:       1234,
-		VCPU:     "L2",
-		Reason:   isa.ExitEPTViolation,
-		Qual:     0xdeadbeef,
-		Nested:   true,
-		Duration: 250,
-	}
-	tr.add(in)
-	tr.add(TraceEntry{VCPU: "L1.vcpu0", Reason: isa.ExitCPUID})
-	es := tr.Entries()
-	if len(es) != 2 {
-		t.Fatalf("retained %d", len(es))
-	}
-	if es[0] != in {
-		t.Fatalf("round trip: got %+v, want %+v", es[0], in)
-	}
-	if es[1].Nested {
-		t.Fatal("direct exit reconstructed as nested")
-	}
-	if !strings.Contains(es[0].String(), "nested") || !strings.Contains(es[1].String(), "direct") {
-		t.Fatal("String() level rendering")
-	}
-}
-
-// The hypervisor emits both to the legacy Trace adapter and to the obs
-// tracer when both are attached; the obs span lands on the vCPU's
-// hardware-context track with its virtualization level.
+// The hypervisor records each handled exit as an obs span on the vCPU's
+// hardware-context track, with its virtualization level.
 func TestTraceExitEmitsToObs(t *testing.T) {
 	h, _, _ := testStack()
-	legacy := NewTrace(8)
-	h.SetTrace(legacy)
 	ot := obs.NewTracer(2, 16)
 	h.SetObs(ot)
-	if h.Obs() != ot {
-		t.Fatal("Obs accessor")
-	}
 
 	g := &scriptGuest{acts: []cpu.Action{
 		{Kind: cpu.ActInstr, Instr: isa.CPUID(1)},
@@ -105,9 +21,6 @@ func TestTraceExitEmitsToObs(t *testing.T) {
 	vc := NewVCPU("g", 0, guestVMCS(), g, 1)
 	h.RunLoop(vc)
 
-	if legacy.Total() == 0 {
-		t.Fatal("legacy trace recorded nothing")
-	}
 	if ot.Total() == 0 {
 		t.Fatal("obs tracer recorded nothing")
 	}

@@ -329,7 +329,7 @@ func NewNested(cfg Config) *Machine {
 	}
 
 	// L1's vCPU record for L2: the guest hypervisor's own view.
-	m.VC12 = hv.NewVCPU("L1.vcpu-l2", 0, vmcs12, nil, 1)
+	m.VC12 = hv.NewVCPU(L1ViewVCPU, 0, vmcs12, nil, 1)
 	m.VC12.VMCSAddr = Vmcs12GPA
 	m.VC12.VirtLAPIC = m.Cfg.Port.NewIRQ(100, m.Eng)
 
@@ -483,6 +483,11 @@ func (m *Machine) Run() *hv.Profile {
 	m.L0.RunLoop(m.VcpuL1)
 	return &m.L0.Prof
 }
+
+// L1ViewVCPU names the guest hypervisor's own vCPU record for L2. Exit
+// spans on it are L1 handling L2's exits; every other exit span in a
+// nested machine's obs plane was recorded by L0.
+const L1ViewVCPU = "L1.vcpu-l2"
 
 // Shutdown unwinds any parked native-guest goroutines.
 func (m *Machine) Shutdown() {

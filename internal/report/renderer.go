@@ -10,14 +10,5 @@ type Renderer struct {
 	s *exp.Session
 }
 
-// NewRenderer binds a renderer to a session. A nil session binds to
-// exp.Default.
-func NewRenderer(s *exp.Session) *Renderer {
-	if s == nil {
-		s = exp.Default
-	}
-	return &Renderer{s: s}
-}
-
-// Session returns the bound experiment session.
-func (rr *Renderer) Session() *exp.Session { return rr.s }
+// NewRenderer binds a renderer to a session.
+func NewRenderer(s *exp.Session) *Renderer { return &Renderer{s: s} }

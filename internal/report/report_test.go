@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"svtsim/internal/exp"
 )
 
 func TestTable1Renders(t *testing.T) {
 	var b bytes.Buffer
-	NewRenderer(nil).Table1(&b, 300)
+	NewRenderer(exp.NewSession()).Table1(&b, 300)
 	out := b.String()
 	for _, want := range []string{"Table 1", "L2", "Switch L2<->L0", "L0 handler", "total", "10.40"} {
 		if !strings.Contains(out, want) {
@@ -19,7 +21,7 @@ func TestTable1Renders(t *testing.T) {
 
 func TestTable3CountsRealSource(t *testing.T) {
 	var b bytes.Buffer
-	NewRenderer(nil).Table3(&b, "../..")
+	NewRenderer(exp.NewSession()).Table3(&b, "../..")
 	out := b.String()
 	if !strings.Contains(out, "KVM analogue") {
 		t.Fatal("table 3 rows missing")
@@ -32,12 +34,12 @@ func TestTable3CountsRealSource(t *testing.T) {
 
 func TestTable4AndFigure6(t *testing.T) {
 	var b bytes.Buffer
-	NewRenderer(nil).Table4(&b)
+	NewRenderer(exp.NewSession()).Table4(&b)
 	if !strings.Contains(b.String(), "E5-2630v3") {
 		t.Fatal("table 4 content")
 	}
 	b.Reset()
-	NewRenderer(nil).Figure6(&b, 150)
+	NewRenderer(exp.NewSession()).Figure6(&b, 150)
 	out := b.String()
 	for _, want := range []string{"L0", "SW SVt", "HW SVt", "1.23x"} {
 		if !strings.Contains(out, want) {
@@ -48,7 +50,7 @@ func TestTable4AndFigure6(t *testing.T) {
 
 func TestChannelsRenders(t *testing.T) {
 	var b bytes.Buffer
-	NewRenderer(nil).Channels(&b, true)
+	NewRenderer(exp.NewSession()).Channels(&b, true)
 	out := b.String()
 	for _, want := range []string{"poll", "mwait", "mutex", "cross-numa"} {
 		if !strings.Contains(out, want) {
@@ -59,7 +61,7 @@ func TestChannelsRenders(t *testing.T) {
 
 func TestProfilesRender(t *testing.T) {
 	var b bytes.Buffer
-	NewRenderer(nil).Profiles(&b)
+	NewRenderer(exp.NewSession()).Profiles(&b)
 	if !strings.Contains(b.String(), "EPT_MISCONFIG") {
 		t.Fatal("profiles must include EPT_MISCONFIG")
 	}

@@ -65,9 +65,8 @@ type PortComparison = exp.PortComparison
 // spec, observability, worker-pool width, host topology — as instance
 // state. Two sessions never share mutable state, so concurrent
 // campaigns (one traced, one not; different topologies) cannot race.
-// Every package-level experiment function is also available as a
-// Session method; the package-level forms run on an internal default
-// session.
+// Every experiment and report is a Session method; the With* options
+// are the only way to configure one.
 type Session struct {
 	exp *exp.Session
 	rep *report.Renderer
@@ -133,45 +132,9 @@ func NewSession(opts ...Option) (*Session, error) {
 	return &Session{exp: es, rep: report.NewRenderer(es)}, nil
 }
 
-// --- Session configuration (mutable after construction) ----------------
-
-// SetObs arms (or, with nil, disarms) tracing and metrics for the
-// session's subsequent runs.
-func (s *Session) SetObs(o *ObsOptions) { s.exp.SetObs(o) }
-
 // LastObs returns the plane captured by the session's most recent run
-// (nil when disarmed).
+// (nil when the session was built without WithObs).
 func (s *Session) LastObs() *ObsPlane { return s.exp.LastObs() }
-
-// SetFaults arms (or, with nil, clears) fault injection for the
-// session's subsequent runs.
-func (s *Session) SetFaults(spec *FaultSpec) { s.exp.SetFaults(spec) }
-
-// SetParallelism sets the session's worker-pool width for sweeps.
-func (s *Session) SetParallelism(n int) { s.exp.SetParallelism(n) }
-
-// Parallelism reports the session's effective worker-pool width.
-func (s *Session) Parallelism() int { return s.exp.Workers() }
-
-// SetHostTopology sets the host topology for fleet-scale experiments.
-func (s *Session) SetHostTopology(t HostTopology) error { return s.exp.SetTopology(t) }
-
-// HostTopology reports the session's host topology.
-func (s *Session) HostTopology() HostTopology { return s.exp.Topology() }
-
-// SetPort selects the architecture port for the session's subsequent
-// runs by registry name ("" restores the default x86 port).
-func (s *Session) SetPort(name string) error {
-	p, err := ports.Parse(name)
-	if err != nil {
-		return err
-	}
-	s.exp.SetPort(p)
-	return nil
-}
-
-// Port reports the name of the session's architecture port.
-func (s *Session) Port() string { return s.exp.Port().Name() }
 
 // --- Session experiments: one method per paper table/figure ------------
 
@@ -193,13 +156,14 @@ func (s *Session) CPUIDNestedWithThunkRegs(mode Mode, regs, n int) CPUIDResult {
 	return s.exp.CPUIDNestedWithThunkRegs(mode, regs, n)
 }
 
-// TraceNestedCPUID runs a nested cpuid workload with exit tracing.
-func (s *Session) TraceNestedCPUID(mode Mode, n, ring int) []TraceEntry {
-	return s.exp.TraceNestedCPUID(mode, n, ring)
-}
-
 // NetLatency runs netperf TCP_RR (Figure 7).
 func (s *Session) NetLatency(mode Mode, n int) IOResult { return s.exp.NetLatency(mode, n) }
+
+// NetLatencyEvents is NetLatency plus the engine events dispatched and
+// the virtual time covered, for measuring simulated events per second.
+func (s *Session) NetLatencyEvents(mode Mode, n int) (IOResult, uint64, Time) {
+	return s.exp.NetLatencyEvents(mode, n)
+}
 
 // NetBandwidth runs netperf TCP_STREAM (Figure 7).
 func (s *Session) NetBandwidth(mode Mode, d Time) IOResult { return s.exp.NetBandwidth(mode, d) }
@@ -337,6 +301,13 @@ func (s *Session) LoadBalancerSweep(modes []Mode, k int, seed int64, sloUs float
 
 // ReportTable1 prints the Table 1 breakdown next to the paper's numbers.
 func (s *Session) ReportTable1(w io.Writer, n int) { s.rep.Table1(w, n) }
+
+// ReportTable3 prints the code-change inventory (Table 3 analogue),
+// counting source lines under the repository root.
+func (s *Session) ReportTable3(w io.Writer, root string) { s.rep.Table3(w, root) }
+
+// ReportTable4 prints the modelled machine parameters (Table 4).
+func (s *Session) ReportTable4(w io.Writer) { s.rep.Table4(w) }
 
 // ReportFigure6 prints the cpuid latency comparison.
 func (s *Session) ReportFigure6(w io.Writer, n int) { s.rep.Figure6(w, n) }

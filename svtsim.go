@@ -12,8 +12,10 @@
 //     your own guest workloads on it.
 //   - Workloads (the Workload* constructors): the paper's benchmark
 //     programs — cpuid, netperf, ioping/fio, memcached+ETC, TPC-C, video.
-//   - Experiments (CPUID*, NetLatency, Memcached, ...): one call per
-//     table/figure of the paper, returning structured results.
+//   - Experiments and reports (Session and its methods): one call per
+//     table/figure of the paper on a Session that carries the campaign's
+//     configuration, returning structured results or paper-formatted
+//     output.
 //
 // See examples/ for runnable entry points and EXPERIMENTS.md for the
 // paper-vs-measured record.
@@ -31,18 +33,11 @@ import (
 	"svtsim/internal/hv"
 	"svtsim/internal/machine"
 	"svtsim/internal/obs"
-	"svtsim/internal/parallel"
 	"svtsim/internal/ports"
-	"svtsim/internal/report"
 	"svtsim/internal/sim"
 	"svtsim/internal/snapshot"
 	"svtsim/internal/swsvt"
 )
-
-// --- Parallel experiment fan-out ---------------------------------------
-
-// Parallelism reports the effective worker-pool width.
-func Parallelism() int { return parallel.Workers() }
 
 // Mode selects the system variant under test.
 type Mode = hv.Mode
@@ -114,88 +109,23 @@ func WireIO(cfg *Config) *IOStack {
 	return machine.WireNestedIO(cfg, machine.DefaultIOParams())
 }
 
-// --- Experiment layer: one call per paper table/figure -----------------
+// --- Experiment results (see the Session methods) ----------------------
 
 // CPUIDResult is one Figure 6 bar (with the Table 1 breakdown attached
 // for nested runs).
 type CPUIDResult = exp.CPUIDResult
 
-// CPUIDNative measures native cpuid (Figure 6 "L0").
-func CPUIDNative(n int) CPUIDResult { return exp.Default.CPUIDNative(n) }
-
-// CPUIDSingleLevel measures single-level guest cpuid (Figure 6 "L1").
-func CPUIDSingleLevel(n int) CPUIDResult { return exp.Default.CPUIDSingleLevel(n) }
-
-// CPUIDNested measures nested cpuid under the given mode (Figure 6
-// "L2" / "SW SVt" / "HW SVt"; Table 1 for Baseline).
-func CPUIDNested(mode Mode, n int) CPUIDResult { return exp.Default.CPUIDNested(mode, n) }
-
-// CPUIDNestedNoShadowing is the shadowing ablation: the baseline nested
-// cpuid with hardware VMCS shadowing disabled, so every guest-hypervisor
-// field access traps (§2.1).
-func CPUIDNestedNoShadowing(n int) CPUIDResult { return exp.Default.CPUIDNestedNoShadowing(n) }
-
-// CPUIDNestedWithThunkRegs sweeps the context-switch thunk's register
-// count ("dozens of registers", §1).
-func CPUIDNestedWithThunkRegs(mode Mode, regs, n int) CPUIDResult {
-	return exp.Default.CPUIDNestedWithThunkRegs(mode, regs, n)
-}
-
 // IOResult is one Figure 7 measurement.
 type IOResult = exp.IOResult
-
-// NetLatency runs netperf TCP_RR (Figure 7).
-func NetLatency(mode Mode, n int) IOResult { return exp.Default.NetLatency(mode, n) }
-
-// NetBandwidth runs netperf TCP_STREAM (Figure 7).
-func NetBandwidth(mode Mode, d Time) IOResult { return exp.Default.NetBandwidth(mode, d) }
-
-// DiskLatency runs ioping (Figure 7).
-func DiskLatency(mode Mode, write bool, n int) IOResult {
-	return exp.Default.DiskLatency(mode, write, n)
-}
-
-// DiskBandwidth runs fio (Figure 7).
-func DiskBandwidth(mode Mode, write bool, n int) IOResult {
-	return exp.Default.DiskBandwidth(mode, write, n)
-}
 
 // MemcachedResult is one Figure 8 sweep point.
 type MemcachedResult = exp.MemcachedResult
 
-// Memcached runs the §6.3.1 open-loop ETC experiment.
-func Memcached(mode Mode, rate float64, d Time) MemcachedResult {
-	return exp.Default.Memcached(mode, rate, d)
-}
-
-// TPCC runs the §6.3.2 experiment, returning ktpm (Figure 9).
-func TPCC(mode Mode, d Time) float64 { return exp.Default.TPCC(mode, d) }
-
 // VideoResult is one Figure 10 bar.
 type VideoResult = exp.VideoResult
 
-// Video runs the §6.3.3 playback experiment (full five minutes).
-func Video(mode Mode, fps int) VideoResult { return exp.Default.Video(mode, fps) }
-
-// VideoN runs the playback experiment over a chosen number of frames.
-func VideoN(mode Mode, fps, frames int) VideoResult { return exp.Default.VideoN(mode, fps, frames) }
-
-// TraceEntry is one recorded VM exit (observability).
-type TraceEntry = hv.TraceEntry
-
-// TraceNestedCPUID runs a nested cpuid workload with exit tracing and
-// returns the most recent ring entries.
-func TraceNestedCPUID(mode Mode, n, ring int) []TraceEntry {
-	return exp.Default.TraceNestedCPUID(mode, n, ring)
-}
-
 // ChannelPoint is one §6.1 channel-study cell.
 type ChannelPoint = exp.ChannelPoint
-
-// ChannelStudy sweeps the SW SVt wait policies and placements (§6.1).
-func ChannelStudy(n int, workloads []Time) []ChannelPoint {
-	return exp.Default.ChannelStudy(n, workloads)
-}
 
 // --- Observability plane -----------------------------------------------
 
@@ -243,67 +173,18 @@ func ParseFaultSpec(arg string, seed int64) (*FaultSpec, error) { return fault.P
 // counters (watchdog fires, breaker trips, fallbacks).
 type FaultSweepResult = exp.FaultSweepResult
 
-// FaultSweep runs the nested cpuid workload with the given fault spec
-// armed and reports how the recovery machinery coped.
-func FaultSweep(mode Mode, spec *FaultSpec, n int) FaultSweepResult {
-	return exp.Default.FaultSweep(mode, spec, n, nil)
-}
-
 // FaultCell is one independent fault-sweep run in a grid.
 type FaultCell = exp.FaultCell
 
-// FaultSweepGrid runs every cell on the process-wide worker pool and
-// returns results in cell order; the grid is byte-identical to running
-// the cells serially.
-func FaultSweepGrid(cells []FaultCell) []FaultSweepResult { return exp.Default.FaultSweepGrid(cells) }
-
-// --- Report layer: paper-formatted output ------------------------------
-
-// ReportTable1 prints the Table 1 breakdown next to the paper's numbers.
-func ReportTable1(w io.Writer, n int) { report.NewRenderer(nil).Table1(w, n) }
-
-// ReportTable3 prints the code-change inventory (Table 3 analogue).
-func ReportTable3(w io.Writer, root string) { report.NewRenderer(nil).Table3(w, root) }
-
-// ReportTable4 prints the modelled machine parameters (Table 4).
-func ReportTable4(w io.Writer) { report.NewRenderer(nil).Table4(w) }
-
-// ReportFigure6 prints the cpuid latency comparison.
-func ReportFigure6(w io.Writer, n int) { report.NewRenderer(nil).Figure6(w, n) }
-
-// ReportFigure7 prints the I/O subsystem comparison.
-func ReportFigure7(w io.Writer, quick bool) { report.NewRenderer(nil).Figure7(w, quick) }
-
-// ReportFigure8 prints the memcached load sweep.
-func ReportFigure8(w io.Writer, quick bool) { report.NewRenderer(nil).Figure8(w, quick) }
-
-// ReportFigure9 prints the TPC-C comparison.
-func ReportFigure9(w io.Writer, quick bool) { report.NewRenderer(nil).Figure9(w, quick) }
-
-// ReportFigure10 prints the video playback comparison.
-func ReportFigure10(w io.Writer, quick bool) { report.NewRenderer(nil).Figure10(w, quick) }
-
-// ReportChannels prints the §6.1 channel study.
-func ReportChannels(w io.Writer, quick bool) { report.NewRenderer(nil).Channels(w, quick) }
-
-// ReportProfiles prints the §6.2/§6.3 exit-reason profiles.
-func ReportProfiles(w io.Writer) { report.NewRenderer(nil).Profiles(w) }
-
 // --- Differential check layer: cross-mode equivalence ------------------
 
-// CheckSchedules generates and differentially checks n schedules from
-// consecutive seeds starting at seed, running each under every mode and
-// comparing guest-visible outcomes. Failing schedules are shrunk and
+// CheckSchedulesPort generates and differentially checks n schedules
+// from consecutive seeds starting at seed, running each under every mode
+// of the named architecture port ("" or "x86" checks the default port)
+// and comparing guest-visible outcomes. Failing schedules are shrunk and
 // written as replayable repro files under dir (when non-empty). It
-// returns the number of inequivalent schedules found.
-func CheckSchedules(w io.Writer, n int, seed int64, dir string) int {
-	return check.RunBudget(w, n, seed, dir)
-}
-
-// CheckSchedulesPort is CheckSchedules on a named architecture port
-// ("" or "x86" checks the default port): the oracle asserts
-// mode-equivalence within that port. Ports are never compared against
-// each other — they charge different costs by design.
+// returns the number of inequivalent schedules found. Ports are never
+// compared against each other — they charge different costs by design.
 func CheckSchedulesPort(w io.Writer, n int, seed int64, dir, port string) (int, error) {
 	p, err := ports.Parse(port)
 	if err != nil {
@@ -312,7 +193,7 @@ func CheckSchedulesPort(w io.Writer, n int, seed int64, dir, port string) (int, 
 	return check.RunBudgetOpts(w, n, seed, dir, &check.RunOpts{Port: p}), nil
 }
 
-// ReplaySchedule decodes a schedule file (as written by CheckSchedules
+// ReplaySchedule decodes a schedule file (as written by CheckSchedulesPort
 // or shipped in the regression corpus) and re-runs the differential
 // check on it, reporting any divergence.
 func ReplaySchedule(w io.Writer, path string) error { return check.ReplayFile(w, path) }

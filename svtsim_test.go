@@ -6,10 +6,21 @@ import (
 	"testing"
 )
 
+// newTestSession builds a session from opts, failing the test on error.
+func newTestSession(tb testing.TB, opts ...Option) *Session {
+	tb.Helper()
+	s, err := NewSession(opts...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s
+}
+
 func TestFacadeCPUIDLadder(t *testing.T) {
-	l0 := CPUIDNative(100)
-	l2 := CPUIDNested(Baseline, 100)
-	hw := CPUIDNested(HWSVt, 100)
+	sess := newTestSession(t)
+	l0 := sess.CPUIDNative(100)
+	l2 := sess.CPUIDNested(Baseline, 100)
+	hw := sess.CPUIDNested(HWSVt, 100)
 	if !(l0.PerOp < hw.PerOp && hw.PerOp < l2.PerOp) {
 		t.Fatalf("ladder violated: %v %v %v", l0.PerOp, hw.PerOp, l2.PerOp)
 	}
@@ -35,18 +46,19 @@ func TestFacadeCostModel(t *testing.T) {
 }
 
 func TestReportsRender(t *testing.T) {
+	sess := newTestSession(t)
 	var b bytes.Buffer
-	ReportTable4(&b)
+	sess.ReportTable4(&b)
 	if !strings.Contains(b.String(), "Table 4") {
 		t.Fatal("table 4 render")
 	}
 	b.Reset()
-	ReportTable3(&b, ".")
+	sess.ReportTable3(&b, ".")
 	if !strings.Contains(b.String(), "KVM analogue") {
 		t.Fatal("table 3 render")
 	}
 	b.Reset()
-	ReportTable1(&b, 200)
+	sess.ReportTable1(&b, 200)
 	out := b.String()
 	for _, want := range []string{"Table 1", "L0 handler", "10.40"} {
 		if !strings.Contains(out, want) {
@@ -54,14 +66,14 @@ func TestReportsRender(t *testing.T) {
 		}
 	}
 	b.Reset()
-	ReportFigure6(&b, 100)
+	sess.ReportFigure6(&b, 100)
 	if !strings.Contains(b.String(), "HW SVt") {
 		t.Fatal("figure 6 render")
 	}
 }
 
 func TestChannelStudyFacade(t *testing.T) {
-	pts := ChannelStudy(50, []Time{0})
+	pts := newTestSession(t).ChannelStudy(50, []Time{0})
 	if len(pts) != 9 { // 3 policies x 3 placements
 		t.Fatalf("points = %d, want 9", len(pts))
 	}
