@@ -10,7 +10,6 @@
 //	svtbench -figure 7       one figure (6–10)
 //	svtbench -micro channels the §6.1 communication-channel study
 //	svtbench -profile        the §6.2/§6.3 exit-reason profiles
-//	svtbench -bench -o BENCH_2026-08-06.json  record the perf-regression baseline
 //	svtbench -trace trace.json  write a Perfetto timeline of a representative run
 //
 // Every section runs on one svtsim.Session whose worker pool is
@@ -84,8 +83,6 @@ func main() {
 		profile  = flag.Bool("profile", false, "exit-reason profiles (6.2/6.3)")
 		root     = flag.String("root", ".", "repository root (for Table 3 line counts)")
 		workers  = flag.Int("parallel", runtime.GOMAXPROCS(0), "worker pool width for independent experiment cells (1 = serial)")
-		bench    = flag.Bool("bench", false, "run the perf-regression benchmark suite")
-		benchOut = flag.String("o", "", "write -bench results as JSON to this file (default BENCH_<date>.json)")
 		traceOut = flag.String("trace", "", "write a Perfetto timeline of a representative SW-SVt run to this file")
 	)
 	flag.Parse()
@@ -107,22 +104,14 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		if !*all && *table == 0 && *figure == 0 && *micro == "" && !*profile && !*bench {
+		if !*all && *table == 0 && *figure == 0 && *micro == "" && !*profile {
 			return
 		}
 	}
 
-	if *bench {
-		if err := runBench(w, sess, *benchOut, *quick, *workers); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	secs := sections(sess, *all, *table, *figure, *micro, *profile, n, *quick, *root)
 	if len(secs) == 0 {
-		fmt.Fprintln(os.Stderr, "nothing selected; try -all, -table N, -figure N, -micro channels, -profile, -bench or -trace FILE")
+		fmt.Fprintln(os.Stderr, "nothing selected; try -all, -table N, -figure N, -micro channels, -profile or -trace FILE")
 		flag.Usage()
 		os.Exit(2)
 	}

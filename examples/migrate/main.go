@@ -4,8 +4,8 @@
 // Act 1 captures a nested SW-SVt machine's full architectural state —
 // registers, every VMCS, EPT tables, LAPICs, guest memory, disk,
 // virtqueue shadows, SVt-thread protocol state — as a canonical
-// snapshot, proves the capture→restore→capture round trip is
-// digest-stable, and shows what copy-on-write clones cost.
+// snapshot and proves the capture→restore→capture round trip is
+// digest-stable.
 //
 // Act 2 runs the differential harness's migrate directive: a schedule is
 // executed under every mode while its VM is live-migrated mid-run —
@@ -54,12 +54,6 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("  restore round trip: %#016x -> %#016x (stable: %v)\n", before, after, before == after)
-
-	clone := snap.Clone()
-	fmt.Printf("  COW clone: shares every word slab, incremental diff %d bytes\n", clone.DiffBytes(snap))
-	clone.MutateWord("core/gpr", 0, 0xdead)
-	fmt.Printf("  after mutating one register word: diff %d bytes, original digest intact: %v\n",
-		clone.DiffBytes(snap), snap.Digest() == before)
 
 	// --- Act 2: migration transparency ------------------------------------
 	fmt.Println("\nAct 2: guest-visible outcome invariant under live migration")

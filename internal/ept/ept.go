@@ -12,6 +12,7 @@ package ept
 
 import (
 	"fmt"
+	"sort"
 
 	"svtsim/internal/mem"
 )
@@ -120,17 +121,6 @@ func (t *Table) Map(gpa, hpa, size uint64, perm Perm) error {
 	return nil
 }
 
-// Unmap removes mappings over [gpa, gpa+size).
-func (t *Table) Unmap(gpa, size uint64) error {
-	if gpa%mem.PageSize != 0 || size%mem.PageSize != 0 {
-		return fmt.Errorf("ept %s: unaligned unmap", t.name)
-	}
-	for off := uint64(0); off < size; off += mem.PageSize {
-		delete(t.pages, (gpa+off)/mem.PageSize)
-	}
-	return nil
-}
-
 // MapMisconfig marks [gpa, gpa+size) as a device window: any access exits
 // with EPT_MISCONFIG carrying dev.
 func (t *Table) MapMisconfig(gpa, size, dev uint64) error {
@@ -169,22 +159,19 @@ func (t *Table) Translate(gpa uint64, need Perm) (uint64, error) {
 // translations must be re-walked.
 func (t *Table) Invalidate() { t.epoch++ }
 
-// MappedPages reports the number of mapped pages.
-func (t *Table) MappedPages() int { return len(t.pages) }
-
 // Compose builds the shadow table inner∘outer: for every page mapped by
 // inner (gpaInner→gpaOuter) it walks outer (gpaOuter→hpa) and installs
 // gpaInner→hpa with the intersection of permissions. Device regions of
 // the inner table are preserved (they must keep trapping in the composed
 // table), and inner pages that land on an outer device region become
-// device regions too.
+// device regions too, installed in ascending guest-frame order so the
+// canonical state never depends on map iteration order.
 func Compose(name string, inner, outer *Table) (*Table, error) {
 	out := &Table{name: name, pages: make(map[uint64]entry, len(inner.pages))}
+	var devPages []devRegion
 	for gfn, e := range inner.pages {
 		if dev, ok := outer.DeviceAt(e.hostPage * mem.PageSize); ok {
-			if err := out.MapMisconfig(gfn*mem.PageSize, mem.PageSize, dev); err != nil {
-				return nil, err
-			}
+			devPages = append(devPages, devRegion{base: gfn * mem.PageSize, size: mem.PageSize, dev: dev})
 			continue
 		}
 		oe, ok := outer.pages[e.hostPage]
@@ -193,6 +180,8 @@ func Compose(name string, inner, outer *Table) (*Table, error) {
 		}
 		out.pages[gfn] = entry{hostPage: oe.hostPage, perm: e.perm & oe.perm}
 	}
+	sort.Slice(devPages, func(i, j int) bool { return devPages[i].base < devPages[j].base })
+	out.devs = append(out.devs, devPages...)
 	for _, d := range inner.devs {
 		out.devs = append(out.devs, d)
 	}

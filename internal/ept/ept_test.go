@@ -2,6 +2,7 @@ package ept
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -99,28 +100,6 @@ func TestMisconfig(t *testing.T) {
 	}
 }
 
-func TestUnmap(t *testing.T) {
-	e := New("x")
-	if err := e.Map(0, 0x8000, 4*pg, PermRWX); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Unmap(pg, 2*pg); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Translate(0, PermR); err != nil {
-		t.Fatal("page 0 should remain")
-	}
-	if _, err := e.Translate(pg, PermR); err == nil {
-		t.Fatal("page 1 should be gone")
-	}
-	if _, err := e.Translate(3*pg, PermR); err != nil {
-		t.Fatal("page 3 should remain")
-	}
-	if err := e.Unmap(1, pg); err == nil {
-		t.Fatal("unaligned unmap must fail")
-	}
-}
-
 func TestInvalidateBumpsEpoch(t *testing.T) {
 	e := New("x")
 	before := e.Epoch()
@@ -203,6 +182,40 @@ func TestComposeInnerPageOnOuterDevice(t *testing.T) {
 	var m *MisconfigError
 	if !errors.As(err, &m) || m.Dev != 3 {
 		t.Fatalf("inner RAM over outer device must trap as device %v", err)
+	}
+}
+
+// TestComposeDeviceOrderIsCanonical: inner pages landing on an outer
+// device become device regions in ascending guest-frame order, so every
+// compose of the same tables saves the same state.
+func TestComposeDeviceOrderIsCanonical(t *testing.T) {
+	inner := New("ept12")
+	outer := New("ept01")
+	if err := inner.Map(0, 0xFE000000, 8*pg, PermRW); err != nil {
+		t.Fatal(err)
+	}
+	if err := outer.MapMisconfig(0xFE000000, 8*pg, 3); err != nil {
+		t.Fatal(err)
+	}
+	var want State
+	for i := 0; i < 50; i++ {
+		shadow, err := Compose("ept02", inner, outer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := shadow.SaveState()
+		if i == 0 {
+			want = got
+			continue
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("compose %d saved devices %v, first compose saved %v", i, got.Devs, want.Devs)
+		}
+	}
+	for i, d := range want.Devs {
+		if d.Base != uint64(i)*pg {
+			t.Fatalf("device region %d at %#x, want ascending pages: %v", i, d.Base, want.Devs)
+		}
 	}
 }
 

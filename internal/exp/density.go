@@ -11,6 +11,7 @@ import (
 	"svtsim/internal/hv"
 	"svtsim/internal/machine"
 	"svtsim/internal/netsim"
+	"svtsim/internal/obs"
 	"svtsim/internal/parallel"
 	"svtsim/internal/sim"
 	"svtsim/internal/snapshot"
@@ -36,7 +37,10 @@ import (
 // phase 2 dilates the phase-1 latency distribution — open-loop latency
 // under proportional-share slowdown scales with service time — and
 // deflates throughput. Both phases are RNG-free given the workload
-// seeds, so a sweep is byte-identical at any pool width.
+// seeds, so a sweep is byte-identical at any pool width. Every fleet
+// experiment — density, migration storm, fault storm and the load
+// balancer — packs its host with packFleet and replays it with
+// fleet.replay.
 
 // DensityVM is one VM's outcome at one packing level.
 type DensityVM struct {
@@ -105,27 +109,42 @@ func (r DensityResult) SummaryLine() string {
 		r.Mode, r.Topo, r.SLOUs, r.MaxDensity)
 }
 
-// vmRun is one VM's phase-1 (uncontended) measurement, plus the warmed
-// snapshot its cache entry forks for every VM it serves.
+// vmRun is one VM's phase-1 (uncontended) measurement.
 type vmRun struct {
 	workload string
-	latUs    []float64
-	ops      float64
-	busy     sim.Time
-	total    sim.Time
-	poll     bool
-	frac     float64
-	// base is the VM's post-run snapshot image in canonical form.
-	// Cache hits hand out copy-on-write clones of it instead of
-	// resimulating, and its size prices storm-driven migrations.
-	base *snapshot.Snapshot
+	// latUs holds the run's latency samples in arrival order: per-op
+	// latency for a density VM, per-request service time for an lb
+	// backend.
+	latUs []float64
+	ops   float64
+	busy  sim.Time
+	total sim.Time
+	poll  bool
+	frac  float64
+	// imageBytes is the transfer size of the VM's post-run snapshot
+	// image, which prices storm-driven migrations. lb backends are not
+	// captured and migrate for free.
+	imageBytes int
 }
 
-// vmKey identifies a cacheable phase-1 run. The cpuid and netrr
+// settle tears down a finished phase-1 machine and fills the run's CPU
+// demand from its ledger: busy and total time, the share spent in VMCS
+// transforms and L1 (the work an SVt-thread takes over), and whether
+// that thread polls.
+func (r *vmRun) settle(m *machine.Machine, led *sim.Ledger) {
+	m.Shutdown()
+	r.total = m.Now()
+	r.busy = led.Total()
+	if r.total > 0 {
+		r.frac = float64(led.T[sim.CatTransform]+led.T[sim.CatL1]) / float64(r.total)
+	}
+	r.poll = m.Cfg.Mode == hv.ModeSWSVt && m.Cfg.WaitPolicy == swsvt.PolicyPoll
+}
+
+// vmKey identifies a cacheable phase-1 run. The cpuid, netrr and lb
 // workloads depend on the VM index only through the size class (i%4),
 // so any two such VMs with equal class, size, and placement share one
-// run — and one warmed snapshot; memcached VMs draw per-index RNG
-// streams and stay keyed by index.
+// run; memcached VMs draw per-index RNG streams and stay keyed by index.
 type vmKey struct {
 	class string
 	size  int
@@ -143,32 +162,27 @@ func densityKey(i int, place swsvt.Placement) vmKey {
 
 // vmCache memoizes phase-1 runs across packing levels and VM indices:
 // a sweep over k simulates each distinct (class, size, placement) cell
-// once and forks COW clones of its warmed snapshot for every other VM,
-// instead of resimulating O(k²) machines. Duplicate concurrent computes
-// are harmless — both produce the identical value. The sims/reuses
-// counters are exact only under a serial pool.
+// once instead of O(k²) machines. The zero value is ready to use.
+// Duplicate concurrent computes are harmless — both produce the
+// identical value.
 type vmCache struct {
-	mu     sync.Mutex
-	m      map[vmKey]vmRun
-	sims   uint64
-	reuses uint64
+	mu sync.Mutex
+	m  map[vmKey]vmRun
 }
 
-func (c *vmCache) get(s *Session, mode hv.Mode, i int, place swsvt.Placement) vmRun {
-	key := densityKey(i, place)
+func (c *vmCache) get(key vmKey, run func() vmRun) vmRun {
 	c.mu.Lock()
 	r, ok := c.m[key]
-	if ok {
-		c.reuses++
-	}
 	c.mu.Unlock()
 	if ok {
 		return r
 	}
-	r = s.runDensityVM(mode, i, place)
+	r = run()
 	c.mu.Lock()
+	if c.m == nil {
+		c.m = make(map[vmKey]vmRun)
+	}
 	c.m[key] = r
-	c.sims++
 	c.mu.Unlock()
 	return r
 }
@@ -199,16 +213,10 @@ func (s *Session) runDensityVM(mode hv.Mode, i int, place swsvt.Placement) vmRun
 	var runIO *machine.IOStack
 	finish := func(m *machine.Machine) {
 		s.run(m)
-		// Capture the warmed image before teardown: cache hits fork COW
-		// clones of it, and migrations price their transfers from it.
-		r.base = snapshot.Capture(m, runIO)
-		m.Shutdown()
-		r.total = m.Now()
-		r.busy = led.Total()
-		if r.total > 0 {
-			r.frac = float64(led.T[sim.CatTransform]+led.T[sim.CatL1]) / float64(r.total)
-		}
-		r.poll = mode == hv.ModeSWSVt && cfg.WaitPolicy == swsvt.PolicyPoll
+		// Capture the warmed image before teardown: migrations price
+		// their transfers from its size.
+		r.imageBytes = snapshot.Capture(m, runIO).Bytes()
+		r.settle(m, led)
 	}
 
 	switch i % 3 {
@@ -273,10 +281,88 @@ func gangSize(mode hv.Mode) int {
 	return 1
 }
 
+// fleet is k VMs packed on one host: their admitted gangs and phase-1
+// runs, ready for the phase-2 replay.
+type fleet struct {
+	h       *host.Host
+	faults  *fault.Plane // nil unless a fault spec was armed
+	obs     *obs.Plane   // lb fleets on an obs-armed session only
+	assigns []host.Assignment
+	runs    []vmRun
+	pinned  bool // SW-SVt gangs stay on their placement
+}
+
+// packFleet builds the session's host, arms spec on its engine (and,
+// for lb backends, the session's obs plane) before admission so
+// admission IPIs consult both, lets the L0 scheduler place k gangs —
+// the SW-SVt placement class falls out of the topology occupancy — and
+// fetches every VM's phase-1 run from cache, fanned out on the
+// session's pool.
+func (s *Session) packFleet(mode hv.Mode, k int, lb bool, spec *fault.Spec, cache *vmCache) *fleet {
+	topo := s.Topology()
+	h, err := host.New(topo, s.HostParams())
+	if err != nil {
+		panic("exp: " + err.Error())
+	}
+	f := &fleet{h: h, pinned: gangSize(mode) == 2}
+	if spec != nil {
+		if f.faults = spec.Build(h.Eng); f.faults != nil {
+			h.Eng.SetFaults(f.faults)
+		}
+	}
+	if lb {
+		// One track per host context: per-request spans land on the
+		// balancer's track and queue depths register as gauges.
+		s.mu.Lock()
+		obsOpts := s.obsOpts
+		s.mu.Unlock()
+		if obsOpts != nil {
+			f.obs = obs.New(topo.Contexts(), *obsOpts)
+			h.SetObs(f.obs)
+			if f.faults != nil {
+				f.faults.SetObs(f.obs.Tracer, 0)
+			}
+		}
+	}
+
+	f.assigns = make([]host.Assignment, k)
+	for i := range f.assigns {
+		f.assigns[i] = h.Sched.Admit(i, gangSize(mode))
+	}
+	f.runs = parallel.MapN(s.Workers(), k, func(i int) vmRun {
+		place := f.assigns[i].Place
+		if lb {
+			key := vmKey{class: "lb", size: i % 4, vm: -1, place: place}
+			return cache.get(key, func() vmRun { return s.runLBVM(mode, i%4, place) })
+		}
+		return cache.get(densityKey(i, place), func() vmRun { return s.runDensityVM(mode, i, place) })
+	})
+	return f
+}
+
+// replay is phase 2: every VM's phase-1 demand contends on the shared
+// host engine, with plan's migration storm overlaid when non-nil.
+func (f *fleet) replay(plan *host.StormPlan) host.ReplayResult {
+	demands := make([]host.Demand, len(f.runs))
+	for i, r := range f.runs {
+		demands[i] = host.Demand{
+			VM:         i,
+			Ctxs:       f.assigns[i].Ctxs,
+			Busy:       r.busy,
+			Total:      r.total,
+			HelperPoll: r.poll,
+			HelperFrac: r.frac,
+			Pinned:     f.pinned,
+			ImageBytes: r.imageBytes,
+		}
+	}
+	return f.h.Sched.ReplayStorm(demands, plan)
+}
+
 // Consolidation packs k nested VMs onto the session's topology in one
 // mode and measures them under contention (one DensitySweep point).
 func (s *Session) Consolidation(mode hv.Mode, k int) DensityPoint {
-	return s.consolidate(mode, k, &vmCache{m: make(map[vmKey]vmRun)})
+	return s.consolidate(mode, k, &vmCache{})
 }
 
 func (s *Session) consolidate(mode hv.Mode, k int, cache *vmCache) DensityPoint {
@@ -290,66 +376,17 @@ func (s *Session) consolidate(mode hv.Mode, k int, cache *vmCache) DensityPoint 
 // storm); it additionally returns the raw replay result and the armed
 // plane so storm callers can read the gang and fire tallies.
 func (s *Session) consolidateStorm(mode hv.Mode, k int, cache *vmCache, plan *host.StormPlan, spec *fault.Spec) (DensityPoint, host.ReplayResult, *fault.Plane) {
-	topo := s.Topology()
-	h, err := host.New(topo, s.HostParams())
-	if err != nil {
-		panic("exp: " + err.Error())
-	}
-	var plane *fault.Plane
-	if spec != nil {
-		if plane = spec.Build(h.Eng); plane != nil {
-			h.Eng.SetFaults(plane)
-		}
-	}
-
-	// Admission: the L0 scheduler places each VM's gang; SW-SVt
-	// placement class falls out of the topology occupancy.
-	nthreads := gangSize(mode)
-	assigns := make([]host.Assignment, k)
-	for i := 0; i < k; i++ {
-		assigns[i] = h.Sched.Admit(i, nthreads)
-	}
-
-	// Phase 1: uncontended per-VM runs, fanned out on the pool. Cache
-	// hits cost a COW fork of the warmed snapshot instead of a cold
-	// simulation.
-	runs := parallel.MapN(s.Workers(), k, func(i int) vmRun {
-		return cache.get(s, mode, i, assigns[i].Place)
-	})
-
-	// Phase 2: contention replay on the shared host engine. Each VM's
-	// live image is a COW clone of its cache entry's base snapshot — the
-	// clone shares every word slab, so forking the fleet is O(k) section
-	// tables — and its encoded size prices storm migrations.
-	demands := make([]host.Demand, k)
-	for i, r := range runs {
-		var image *snapshot.Snapshot
-		if r.base != nil {
-			image = r.base.Clone()
-		}
-		demands[i] = host.Demand{
-			VM:         i,
-			Ctxs:       assigns[i].Ctxs,
-			Busy:       r.busy,
-			Total:      r.total,
-			HelperPoll: r.poll,
-			HelperFrac: r.frac,
-			Pinned:     nthreads == 2,
-		}
-		if image != nil {
-			demands[i].ImageBytes = image.Bytes()
-		}
-	}
-	res := h.Sched.ReplayStorm(demands, plan)
+	f := s.packFleet(mode, k, false, spec, cache)
+	res := f.replay(plan)
 
 	pt := DensityPoint{Mode: mode, K: k}
-	for i, r := range runs {
+	for i, r := range f.runs {
 		S := res.VMs[i].Slowdown
 		v := DensityVM{
 			VM:       i,
 			Workload: r.workload,
-			Ctxs:     assigns[i].Ctxs,
-			Place:    assigns[i].Place,
+			Ctxs:     f.assigns[i].Ctxs,
+			Place:    f.assigns[i].Place,
 			P50Us:    stats.Percentile(r.latUs, 50) * S,
 			P99Us:    stats.Percentile(r.latUs, 99) * S,
 			Slowdown: S,
@@ -371,9 +408,9 @@ func (s *Session) consolidateStorm(mode hv.Mode, k int, cache *vmCache, plan *ho
 	pt.Migrations = res.Migrations
 	pt.ReschedIPIs = res.ReschedIPIs
 	pt.Events = res.Events
-	_, smt, cc, numa := h.IPIsSent()
+	_, smt, cc, numa := f.h.IPIsSent()
 	pt.IPIsSMT, pt.IPIsCore, pt.IPIsNUMA = smt, cc, numa
-	return pt, res, plane
+	return pt, res, f.faults
 }
 
 // DensitySweep packs k = 1..kmax nested VMs per mode and reports every

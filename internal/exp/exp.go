@@ -128,15 +128,6 @@ func (s *Session) netMachine(mode hv.Mode) (*machine.Machine, *machine.IOStack) 
 // NetLatency runs netperf TCP_RR (Figure 7 "Network latency"): n 1-byte
 // transactions against an echoing peer.
 func (s *Session) NetLatency(mode hv.Mode, n int) IOResult {
-	r, _, _ := s.NetLatencyEvents(mode, n)
-	return r
-}
-
-// NetLatencyEvents is NetLatency plus simulator-side throughput counters:
-// the engine events dispatched and the virtual time covered. The perf
-// baseline (svtbench -bench) divides events by wall clock to track
-// simulated events/sec across commits.
-func (s *Session) NetLatencyEvents(mode hv.Mode, n int) (IOResult, uint64, sim.Time) {
 	m, io := s.netMachine(mode)
 	io.NIC.Peer = &netsim.EchoPeer{
 		Eng: m.Eng, Back: io.LinkIn, Dst: io.NIC,
@@ -147,8 +138,7 @@ func (s *Session) NetLatencyEvents(mode hv.Mode, n int) (IOResult, uint64, sim.T
 	s.run(m)
 	m.Shutdown()
 	sum, _ := stats.Summarize(w.Lat)
-	r := IOResult{Mode: mode, MeanUs: sum.Mean, P50Us: sum.P50, P99Us: sum.P99, ExitStats: &m.L0.NestedProf}
-	return r, m.Eng.Dispatched(), m.Now()
+	return IOResult{Mode: mode, MeanUs: sum.Mean, P50Us: sum.P50, P99Us: sum.P99, ExitStats: &m.L0.NestedProf}
 }
 
 // NetBandwidth runs netperf TCP_STREAM (Figure 7 "Network bandwidth"):

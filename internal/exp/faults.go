@@ -116,8 +116,7 @@ func (s *Session) FaultSweep(mode hv.Mode, spec *fault.Spec, n int, mutate func(
 // migrations, retries, rollbacks, breaker-skips — into the usual sweep
 // row so grids can mix machine-level and placement-level fault rows.
 func (s *Session) FaultStormSweep(mode hv.Mode, spec *fault.Spec, k, storms int, stormSeed int64) FaultSweepResult {
-	cache := &vmCache{m: make(map[vmKey]vmRun)}
-	_, res, plane := s.consolidateStorm(mode, k, cache, BuildStormPlan(k, storms, stormSeed), spec)
+	_, res, plane := s.consolidateStorm(mode, k, &vmCache{}, stormPlan(k, storms, stormSeed, 50, 2000, 5), spec)
 	r := FaultSweepResult{
 		Mode:      mode,
 		N:         k,

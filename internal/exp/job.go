@@ -92,7 +92,7 @@ func (s *Session) DensitySweepJob(ctx context.Context, modes []hv.Mode, kmax int
 	out := make([]DensityResult, len(modes))
 	for mi, mode := range modes {
 		res := DensityResult{Mode: mode, Topo: topo, SLOUs: sloUs}
-		cache := &vmCache{m: make(map[vmKey]vmRun)}
+		cache := &vmCache{}
 		for k := 1; k <= kmax; k++ {
 			if err := ctx.Err(); err != nil {
 				return nil, err

@@ -3,8 +3,6 @@ package exp
 import (
 	"context"
 	"fmt"
-	"sort"
-	"sync"
 
 	"svtsim/internal/fault"
 	"svtsim/internal/guest"
@@ -14,7 +12,6 @@ import (
 	"svtsim/internal/netsim"
 	"svtsim/internal/netstack"
 	"svtsim/internal/obs"
-	"svtsim/internal/parallel"
 	"svtsim/internal/sim"
 	"svtsim/internal/stats"
 	"svtsim/internal/swsvt"
@@ -111,42 +108,6 @@ func (r LBResult) StatsLine() string {
 		r.SegsSent, r.Retransmits, r.SegDrops, r.GangMigrations, r.Downtime, r.Events)
 }
 
-// lbRun is one backend class's phase-1 (uncontended) measurement.
-type lbRun struct {
-	svcUs []float64 // per-request service latency samples, arrival order
-	busy  sim.Time
-	total sim.Time
-	poll  bool
-	frac  float64
-}
-
-// lbKey caches phase-1 runs per (size class, placement): the backend
-// workload depends on the VM index only through i%4.
-type lbKey struct {
-	size  int
-	place swsvt.Placement
-}
-
-type lbCache struct {
-	mu sync.Mutex
-	m  map[lbKey]lbRun
-}
-
-func (c *lbCache) get(s *Session, mode hv.Mode, i int, place swsvt.Placement) lbRun {
-	key := lbKey{size: i % 4, place: place}
-	c.mu.Lock()
-	r, ok := c.m[key]
-	c.mu.Unlock()
-	if ok {
-		return r
-	}
-	r = s.runLBVM(mode, i%4, place)
-	c.mu.Lock()
-	c.m[key] = r
-	c.mu.Unlock()
-	return r
-}
-
 // l0Conduit adapts the L0 side of a nested machine's virtio-net wiring
 // (host link in, NIC peer out) to a netstack Conduit.
 type l0Conduit struct {
@@ -194,7 +155,7 @@ func lbServe(eng *sim.Engine, env *guest.Env, n int, svcCPU sim.Time) {
 // runLBVM measures one backend size class uncontended: a closed-loop L0
 // client issues n requests over a netstack flow through the virtio path
 // into the nested guest's service loop.
-func (s *Session) runLBVM(mode hv.Mode, size int, place swsvt.Placement) lbRun {
+func (s *Session) runLBVM(mode hv.Mode, size int, place swsvt.Placement) vmRun {
 	cfg := s.config(mode)
 	cfg.Placement = place
 	cfg.Seed = int64(3000 + size)
@@ -213,7 +174,7 @@ func (s *Session) runLBVM(mode hv.Mode, size int, place swsvt.Placement) lbRun {
 	st := netstack.New(m.Eng, cc, netstack.Params{})
 	fl := st.Open(1)
 
-	r := lbRun{}
+	var r vmRun
 	var t0 sim.Time
 	sent, rx := 0, 0
 	send := func() {
@@ -225,7 +186,7 @@ func (s *Session) runLBVM(mode hv.Mode, size int, place swsvt.Placement) lbRun {
 		rx += len(p)
 		for rx >= lbRespSize {
 			rx -= lbRespSize
-			r.svcUs = append(r.svcUs, (m.Eng.Now() - t0).Microseconds())
+			r.latUs = append(r.latUs, (m.Eng.Now() - t0).Microseconds())
 			if sent < n {
 				send()
 			}
@@ -234,13 +195,7 @@ func (s *Session) runLBVM(mode hv.Mode, size int, place swsvt.Placement) lbRun {
 	m.Eng.After(0, func() { send() })
 
 	s.run(m)
-	m.Shutdown()
-	r.total = m.Now()
-	r.busy = led.Total()
-	if r.total > 0 {
-		r.frac = float64(led.T[sim.CatTransform]+led.T[sim.CatL1]) / float64(r.total)
-	}
-	r.poll = mode == hv.ModeSWSVt && cfg.WaitPolicy == swsvt.PolicyPoll
+	r.settle(m, led)
 	return r
 }
 
@@ -291,10 +246,10 @@ func lbFaultSpec(seed int64) *fault.Spec {
 // migration storm), faults (steady + net/segment loss). sloUs <= 0
 // defaults to 1000 µs.
 func (s *Session) LoadBalancer(mode hv.Mode, k int, scenario string, seed int64, sloUs float64) LBResult {
-	return s.loadBalancer(mode, k, scenario, seed, sloUs, &lbCache{m: make(map[lbKey]lbRun)})
+	return s.loadBalancer(mode, k, scenario, seed, sloUs, &vmCache{})
 }
 
-func (s *Session) loadBalancer(mode hv.Mode, k int, scenario string, seed int64, sloUs float64, cache *lbCache) LBResult {
+func (s *Session) loadBalancer(mode hv.Mode, k int, scenario string, seed int64, sloUs float64, cache *vmCache) LBResult {
 	if !lbScenarioKnown(scenario) {
 		panic(fmt.Sprintf("exp: unknown lb scenario %q (want one of %v)", scenario, LBScenarios()))
 	}
@@ -304,53 +259,19 @@ func (s *Session) loadBalancer(mode hv.Mode, k int, scenario string, seed int64,
 	if sloUs <= 0 {
 		sloUs = 1000
 	}
-	topo := s.Topology()
-	h, err := host.New(topo, s.HostParams())
-	if err != nil {
-		panic("exp: " + err.Error())
-	}
-
 	// Fault plane: the session's spec, or the scenario default for
 	// "faults".
 	spec := s.faultSpec()
 	if scenario == "faults" && (spec == nil || len(spec.Sites) == 0) {
 		spec = lbFaultSpec(seed)
 	}
-	var plane *fault.Plane
-	if spec != nil {
-		if plane = spec.Build(h.Eng); plane != nil {
-			h.Eng.SetFaults(plane)
-		}
-	}
-
-	// Observability: one track per host context; per-request spans land
-	// on the balancer's track and queue depths register as gauges.
-	var oplane *obs.Plane
-	s.mu.Lock()
-	obsOpts := s.obsOpts
-	s.mu.Unlock()
-	if obsOpts != nil {
-		oplane = obs.New(topo.Contexts(), *obsOpts)
-		h.SetObs(oplane)
-		if plane != nil {
-			plane.SetObs(oplane.Tracer, 0)
-		}
-	}
-
-	// Admission + phase 1 (cached, fanned out on the pool).
-	nthreads := gangSize(mode)
-	assigns := make([]host.Assignment, k)
-	for i := 0; i < k; i++ {
-		assigns[i] = h.Sched.Admit(i, nthreads)
-	}
-	runs := parallel.MapN(s.Workers(), k, func(i int) lbRun {
-		return cache.get(s, mode, i, assigns[i].Place)
-	})
+	f := s.packFleet(mode, k, true, spec, cache)
+	h, assigns, runs, oplane := f.h, f.assigns, f.runs, f.obs
 
 	// Balancer placement: the context with the fewest admitted backend
 	// threads (lowest index breaks ties) — L0 keeps its spray loop off
 	// the busiest contexts.
-	occ := make([]int, topo.Contexts())
+	occ := make([]int, h.Topo.Contexts())
 	for i := 0; i < k; i++ {
 		for _, c := range assigns[i].Ctxs {
 			occ[c]++
@@ -371,18 +292,11 @@ func (s *Session) loadBalancer(mode hv.Mode, k int, scenario string, seed int64,
 		if k > storms {
 			storms = k
 		}
-		plan = lbStormPlan(k, storms, seed)
+		// Early quanta fire reliably inside phase 2a's short replay,
+		// and fewer forced failures mix successes with rollbacks.
+		plan = stormPlan(k, storms, seed, 5, 60, 4)
 	}
-	demands := make([]host.Demand, k)
-	for i, r := range runs {
-		demands[i] = host.Demand{
-			VM: i, Ctxs: assigns[i].Ctxs,
-			Busy: r.busy, Total: r.total,
-			HelperPoll: r.poll, HelperFrac: r.frac,
-			Pinned: nthreads == 2,
-		}
-	}
-	res := h.Sched.ReplayStorm(demands, plan)
+	res := f.replay(plan)
 
 	// Fleet capacity estimate — uncontended service means dilated by
 	// the replay's contention slowdowns — sets the offered rates.
@@ -392,7 +306,7 @@ func (s *Session) loadBalancer(mode hv.Mode, k int, scenario string, seed int64,
 		if slow < 1 {
 			slow = 1
 		}
-		if m := stats.Mean(r.svcUs); m > 0 {
+		if m := stats.Mean(r.latUs); m > 0 {
 			capRPS += 1e6 / (m * slow)
 		}
 	}
@@ -494,7 +408,7 @@ type lbSpray struct {
 	doneAt  []sim.Time
 }
 
-func (sp *lbSpray) run(assigns []host.Assignment, runs []lbRun, tspec traffic.Spec, t0, dur sim.Time, oplane *obs.Plane) {
+func (sp *lbSpray) run(assigns []host.Assignment, runs []vmRun, tspec traffic.Spec, t0, dur sim.Time, oplane *obs.Plane) {
 	h := sp.h
 	eng := h.Eng
 	k := sp.k
@@ -544,7 +458,7 @@ func (sp *lbSpray) run(assigns []host.Assignment, runs []lbRun, tspec traffic.Sp
 
 			cBal, cBk := hostConduitPair(h, sp.balCtx, b.ctx, lbWireLat)
 			bkSt := netstack.New(eng, cBk, netstack.Params{})
-			svc := runs[j].svcUs
+			svc := runs[j].latUs
 			bkSt.OnFlow = func(f *netstack.Flow) {
 				b.fl = f
 				f.OnData = func(p []byte) {
@@ -622,33 +536,6 @@ func (sp *lbSpray) run(assigns []host.Assignment, runs []lbRun, tspec traffic.Sp
 	// Drive traffic plus a drain tail; overloaded queues may still hold
 	// work at the horizon — that unfinished backlog is the measurement.
 	h.Eng.RunUntil(t0 + dur + 2*sim.Millisecond)
-}
-
-// lbStormPlan is BuildStormPlan scaled to the LB replay horizon:
-// events land on early quanta so they reliably fire inside phase 2a's
-// shorter contention replay, and forced-failure counts stay below the
-// rollback threshold often enough to mix outcomes.
-func lbStormPlan(k, storms int, seed int64) *host.StormPlan {
-	rng := sim.NewRand(seed)
-	plan := &host.StormPlan{P: host.DefaultMigrationParams()}
-	for i := 0; i < storms; i++ {
-		plan.Events = append(plan.Events, host.StormEvent{
-			Quantum: uint64(5 + rng.Intn(60)),
-			VM:      rng.Intn(k),
-			Fails:   rng.Intn(4),
-		})
-	}
-	sort.Slice(plan.Events, func(i, j int) bool {
-		a, b := plan.Events[i], plan.Events[j]
-		if a.Quantum != b.Quantum {
-			return a.Quantum < b.Quantum
-		}
-		if a.VM != b.VM {
-			return a.VM < b.VM
-		}
-		return a.Fails < b.Fails
-	})
-	return plan
 }
 
 // LoadBalancerTable runs every mode for one scenario on the session's

@@ -52,19 +52,21 @@ func (r StormResult) StatsLine() string {
 		r.GangMigrations, r.GangRollbacks, r.GangRetries, r.GangSkipped, r.MigrationDowntime, r.Events)
 }
 
-// BuildStormPlan derives a deterministic storm from a seed: storms
-// events at quanta 50..2049, each targeting a VM in [0,k) with 0..4
-// forced failures (>= 3 forces a rollback under the default attempt
-// budget). Events are sorted by quantum then VM so the plan replays
-// identically regardless of how it was built.
-func BuildStormPlan(k, storms int, seed int64) *host.StormPlan {
+// stormPlan derives a deterministic storm from a seed: storms events,
+// each at a quantum in [q0, q0+qspan), targeting a VM in [0,k) with
+// 0..fails-1 forced failures (>= 3 forces a rollback under the default
+// attempt budget). Each event draws its quantum, VM and failures in
+// that order. Events are sorted by quantum then VM so the plan replays
+// identically regardless of how it was built. The fleet storms use
+// quanta 50..2049 and up to 4 failures.
+func stormPlan(k, storms int, seed int64, q0, qspan, fails int) *host.StormPlan {
 	rng := sim.NewRand(seed)
 	plan := &host.StormPlan{P: host.DefaultMigrationParams()}
 	for i := 0; i < storms; i++ {
 		plan.Events = append(plan.Events, host.StormEvent{
-			Quantum: uint64(50 + rng.Intn(2000)),
+			Quantum: uint64(q0 + rng.Intn(qspan)),
 			VM:      rng.Intn(k),
-			Fails:   rng.Intn(5),
+			Fails:   rng.Intn(fails),
 		})
 	}
 	sort.Slice(plan.Events, func(i, j int) bool {
@@ -83,8 +85,7 @@ func BuildStormPlan(k, storms int, seed int64) *host.StormPlan {
 // MigrationStorm packs k VMs in one mode and replays them under a
 // seeded storm of storms live migrations.
 func (s *Session) MigrationStorm(mode hv.Mode, k, storms int, seed int64) StormResult {
-	cache := &vmCache{m: make(map[vmKey]vmRun)}
-	pt, res, _ := s.consolidateStorm(mode, k, cache, BuildStormPlan(k, storms, seed), s.faultSpec())
+	pt, res, _ := s.consolidateStorm(mode, k, &vmCache{}, stormPlan(k, storms, seed, 50, 2000, 5), s.faultSpec())
 	r := StormResult{
 		Mode: mode, K: k, Storms: storms, Seed: seed,
 		Elapsed:           res.Elapsed,

@@ -292,9 +292,13 @@ func (s *Server) SubmitResponseFor(st JobStatus) SubmitResponse {
 	}
 }
 
+// maxSubmitBody bounds a POST /v1/jobs body. A request is a few hundred
+// bytes; a body past the bound fails as malformed.
+const maxSubmitBody = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req Request
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("malformed request body: %w", err))

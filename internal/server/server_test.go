@@ -372,6 +372,29 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestOversizedBodyRejected: a valid request padded past the body bound
+// gets 400 through the malformed-body path, and the server keeps
+// serving normal requests.
+func TestOversizedBodyRejected(t *testing.T) {
+	_, c := newTestServer(t, Config{Workers: 1})
+	req, err := json.Marshal(smallStorm())
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := strings.Repeat(" ", maxSubmitBody) + string(req)
+	resp, err := http.Post(c.BaseURL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("oversized body: status %d, want 400", resp.StatusCode)
+	}
+	if _, err := c.Submit(context.Background(), smallStorm()); err != nil {
+		t.Fatalf("normal request after an oversized one: %v", err)
+	}
+}
+
 // TestStreamAndStatus: the progress stream is ordered, ends with the
 // terminal event, and SSE framing works.
 func TestStreamAndStatus(t *testing.T) {

@@ -104,46 +104,32 @@ func TestTransplant(t *testing.T) {
 	}
 }
 
-func TestCloneIsCopyOnWrite(t *testing.T) {
+// TestRestoreOfMutatedSnapshotIsFaithful: a faithful restore of a
+// corrupt-but-well-formed capture must succeed and land exactly the
+// corrupted words — this is the path the broken-restore differential
+// test drives, where the damage is only caught downstream by the
+// guest-visible oracle.
+func TestRestoreOfMutatedSnapshotIsFaithful(t *testing.T) {
 	m, io := diskMachine(t, hv.ModeBaseline, 0x33, 1)
 	defer m.Shutdown()
 	snap := snapshot.Capture(m, io)
 	base := snap.Digest()
 
-	c := snap.Clone()
-	if c.Digest() != base {
-		t.Fatal("clone digest differs from original")
-	}
-	if c.DiffBytes(snap) != 0 {
-		t.Fatal("undiverged clone should cost zero diff bytes")
-	}
-	sec := c.Section("vq/l2-blk")
+	sec := snap.Section("vq/l2-blk")
 	if sec == nil {
 		t.Fatal("no vq/l2-blk section")
 	}
-	if err := c.MutateWord("vq/l2-blk", snapshot.QWordAvailIdx, sec.Words[snapshot.QWordAvailIdx]+1); err != nil {
+	if err := snap.MutateWord("vq/l2-blk", snapshot.QWordAvailIdx, sec.Words[snapshot.QWordAvailIdx]+1); err != nil {
 		t.Fatal(err)
 	}
-	if snap.Digest() != base {
-		t.Fatal("mutating a clone changed the original (COW broken)")
+	if snap.Digest() == base {
+		t.Fatal("mutation did not change the snapshot's digest")
 	}
-	if c.Digest() == base {
-		t.Fatal("mutation did not change the clone's digest")
+	if err := snapshot.Restore(m, io, snap); err != nil {
+		t.Fatalf("restore of mutated snapshot: %v", err)
 	}
-	want := len(sec.Name) + 8 + 8*len(sec.Words)
-	if got := c.DiffBytes(snap); got != want {
-		t.Fatalf("diff bytes %d, want the mutated section's %d", got, want)
-	}
-
-	// A faithful restore of the corrupt-but-well-formed clone must
-	// succeed and land exactly the corrupted words — this is the path
-	// the broken-restore differential test drives, where the damage is
-	// only caught downstream by the guest-visible oracle.
-	if err := snapshot.Restore(m, io, c); err != nil {
-		t.Fatalf("restore of mutated clone: %v", err)
-	}
-	if got := snapshot.Capture(m, io).Digest(); got != c.Digest() {
-		t.Fatalf("restore of mutated clone not faithful: %#x want %#x", got, c.Digest())
+	if got := snapshot.Capture(m, io).Digest(); got != snap.Digest() {
+		t.Fatalf("restore of mutated snapshot not faithful: %#x want %#x", got, snap.Digest())
 	}
 }
 
@@ -153,7 +139,7 @@ func TestRestoreRejectsMalformedSnapshots(t *testing.T) {
 	snap := snapshot.Capture(m, io)
 
 	t.Run("mode-mismatch", func(t *testing.T) {
-		c := snap.Clone()
+		c := snapshot.Capture(m, io)
 		if err := c.MutateWord("meta", 0, uint64(hv.ModeBaseline)); err != nil {
 			t.Fatal(err)
 		}
@@ -162,7 +148,7 @@ func TestRestoreRejectsMalformedSnapshots(t *testing.T) {
 		}
 	})
 	t.Run("ring-inconsistent", func(t *testing.T) {
-		c := snap.Clone()
+		c := snapshot.Capture(m, io)
 		sec := c.Section("swsvt")
 		if sec == nil {
 			t.Fatal("no swsvt section")
@@ -177,7 +163,7 @@ func TestRestoreRejectsMalformedSnapshots(t *testing.T) {
 		}
 	})
 	t.Run("length-bomb", func(t *testing.T) {
-		c := snap.Clone()
+		c := snapshot.Capture(m, io)
 		// Word 0 of an EPT section counts mapped pages; a huge claim
 		// must fail the reader's bounds check, not allocate.
 		if err := c.MutateWord("ept/01", 0, 1<<40); err != nil {
@@ -188,32 +174,31 @@ func TestRestoreRejectsMalformedSnapshots(t *testing.T) {
 		}
 	})
 	t.Run("truncated", func(t *testing.T) {
-		c := snap.Clone()
+		c := snapshot.Capture(m, io)
 		sec := c.Section("core/gpr")
-		c.Section("core/gpr").Words = append([]uint64(nil), sec.Words[:len(sec.Words)-1]...)
+		sec.Words = sec.Words[:len(sec.Words)-1]
 		if err := snapshot.Restore(m, io, c); err == nil {
 			t.Fatal("restore accepted a truncated section")
 		}
 	})
 	t.Run("trailing-words", func(t *testing.T) {
-		c := snap.Clone()
+		c := snapshot.Capture(m, io)
 		sec := c.Section("core/gpr")
-		sec.Words = append(append([]uint64(nil), sec.Words...), 7)
+		sec.Words = append(sec.Words, 7)
 		if err := snapshot.Restore(m, io, c); err == nil {
 			t.Fatal("restore accepted trailing words")
 		}
 	})
 	t.Run("renamed-section", func(t *testing.T) {
-		c := snap.Clone()
-		c.Sections = append([]snapshot.Section(nil), c.Sections...)
+		c := snapshot.Capture(m, io)
 		c.Sections[0].Name = "not-meta"
 		if err := snapshot.Restore(m, io, c); err == nil {
 			t.Fatal("restore accepted a renamed section")
 		}
 	})
 	t.Run("missing-section", func(t *testing.T) {
-		c := snap.Clone()
-		c.Sections = append([]snapshot.Section(nil), c.Sections[:len(c.Sections)-1]...)
+		c := snapshot.Capture(m, io)
+		c.Sections = c.Sections[:len(c.Sections)-1]
 		if err := snapshot.Restore(m, io, c); err == nil {
 			t.Fatal("restore accepted a snapshot with a missing section")
 		}

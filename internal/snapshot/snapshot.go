@@ -12,15 +12,9 @@
 // fixed order and every set-valued component is serialized sorted, so a
 // capture→restore→capture round trip is digest-verified by construction
 // and any divergence is a restore bug (or a deliberately injected one —
-// the differential harness's broken-restore tests corrupt a clone and
-// watch the oracle catch the divergence downstream).
-//
-// Clones are copy-on-write: Clone shares the underlying word slabs, so
-// forking a warmed snapshot for a fleet of density-sweep VMs costs a
-// section table, not a memory image. Restore only ever reads from a
-// snapshot, and MutateWord (the corruption/testing hook) copies a
-// section's slab before writing, so clones never observe each other's
-// mutations.
+// the differential harness's broken-restore tests corrupt a capture
+// with MutateWord and watch the oracle catch the divergence
+// downstream). Restore only ever reads from a snapshot.
 package snapshot
 
 import (
@@ -93,49 +87,11 @@ func (s *Snapshot) Bytes() int {
 	return n
 }
 
-// Clone returns a copy-on-write clone: the section table is copied, the
-// word slabs are shared. Restore never writes to a snapshot, and
-// MutateWord copies before writing, so shared slabs are safe.
-func (s *Snapshot) Clone() *Snapshot {
-	return &Snapshot{Sections: append([]Section(nil), s.Sections...)}
-}
-
-// DiffBytes reports the transfer size of the sections that differ from
-// base (by name or content), pricing a warm incremental migration: a
-// clone that never diverged costs zero.
-func (s *Snapshot) DiffBytes(base *Snapshot) int {
-	n := 0
-	for _, sec := range s.Sections {
-		b := base.Section(sec.Name)
-		if b != nil && wordsEqual(sec.Words, b.Words) {
-			continue
-		}
-		n += len(sec.Name) + 8 + 8*len(sec.Words)
-	}
-	return n
-}
-
-func wordsEqual(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	// Shared COW slabs compare by identity first.
-	if len(a) > 0 && &a[0] == &b[0] {
-		return true
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// MutateWord overwrites one word of a named section, copying the slab
-// first so clones sharing it are unaffected. It is the deliberate-
-// corruption hook the broken-restore tests use (e.g. dropping a
-// virtqueue index) — a faithful restore of the mutated snapshot then
-// diverges downstream and the differential oracle must catch it.
+// MutateWord overwrites one word of a named section in place. It is the
+// deliberate-corruption hook the broken-restore tests use (e.g.
+// dropping a virtqueue index) — a faithful restore of the mutated
+// snapshot then diverges downstream and the differential oracle must
+// catch it.
 func (s *Snapshot) MutateWord(name string, idx int, val uint64) error {
 	sec := s.Section(name)
 	if sec == nil {
@@ -144,7 +100,6 @@ func (s *Snapshot) MutateWord(name string, idx int, val uint64) error {
 	if idx < 0 || idx >= len(sec.Words) {
 		return fmt.Errorf("snapshot: section %q has %d words, index %d out of range", name, len(sec.Words), idx)
 	}
-	sec.Words = append([]uint64(nil), sec.Words...)
 	sec.Words[idx] = val
 	return nil
 }

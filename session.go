@@ -159,12 +159,6 @@ func (s *Session) CPUIDNestedWithThunkRegs(mode Mode, regs, n int) CPUIDResult {
 // NetLatency runs netperf TCP_RR (Figure 7).
 func (s *Session) NetLatency(mode Mode, n int) IOResult { return s.exp.NetLatency(mode, n) }
 
-// NetLatencyEvents is NetLatency plus the engine events dispatched and
-// the virtual time covered, for measuring simulated events per second.
-func (s *Session) NetLatencyEvents(mode Mode, n int) (IOResult, uint64, Time) {
-	return s.exp.NetLatencyEvents(mode, n)
-}
-
 // NetBandwidth runs netperf TCP_STREAM (Figure 7).
 func (s *Session) NetBandwidth(mode Mode, d Time) IOResult { return s.exp.NetBandwidth(mode, d) }
 

@@ -234,8 +234,8 @@ func CheckMigratedSchedule(w io.Writer, seed int64, pts []MigratePoint) error {
 
 // Snapshot is a machine's full architectural state in canonical
 // serializable form: ordered named sections of flat word streams, with
-// an FNV-1a digest, cheap copy-on-write clones, and incremental diff
-// pricing. See internal/snapshot and DESIGN.md §13.
+// an FNV-1a digest and an encoded transfer size that prices migrations.
+// See internal/snapshot and DESIGN.md §13.
 type Snapshot = snapshot.Snapshot
 
 // CaptureSnapshot serializes a machine's architectural state at a
