@@ -75,52 +75,17 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"time"
 
 	"svtsim"
+	"svtsim/internal/fault"
 	"svtsim/internal/isa"
 	"svtsim/internal/machine"
 	"svtsim/internal/obs"
 )
-
-// buildFaultSpec combines the -faults spec syntax with the -fault-rate
-// shorthand (lost SW-SVt wakeups plus dropped IPIs, the acceptance
-// scenario) into one armed spec, or nil when both are unset.
-func buildFaultSpec(arg string, rate float64, seed int64) (*svtsim.FaultSpec, error) {
-	var spec *svtsim.FaultSpec
-	if arg != "" {
-		s, err := svtsim.ParseFaultSpec(arg, seed)
-		if err != nil {
-			return nil, err
-		}
-		spec = s
-	}
-	if rate > 0 {
-		if rate > 1 {
-			return nil, fmt.Errorf("-fault-rate %v: must be in (0, 1]", rate)
-		}
-		if spec == nil {
-			spec = &svtsim.FaultSpec{Seed: seed}
-		}
-		spec.Sites = append(spec.Sites,
-			svtsim.FaultSiteConfig{Site: svtsim.FaultSiteSVtWakeup, Rate: rate, Drop: true},
-			svtsim.FaultSiteConfig{Site: svtsim.FaultSiteIPI, Rate: rate, Drop: true},
-		)
-	}
-	return spec, nil
-}
-
-// lbScenarioKnown reports whether name is one of the -lb scenarios.
-func lbScenarioKnown(name string) bool {
-	for _, s := range svtsim.LBScenarios() {
-		if s == name {
-			return true
-		}
-	}
-	return false
-}
 
 // parseMigratePoints parses the -migrate syntax "after:fails[,...]".
 func parseMigratePoints(arg string) ([]svtsim.MigratePoint, error) {
@@ -176,7 +141,7 @@ func main() {
 	)
 	flag.Parse()
 
-	if *lbScen != "all" && !lbScenarioKnown(*lbScen) {
+	if *lbScen != "all" && !slices.Contains(svtsim.LBScenarios(), *lbScen) {
 		fmt.Fprintf(os.Stderr, "-lb-scenario %q: want all or one of %s\n",
 			*lbScen, strings.Join(svtsim.LBScenarios(), ", "))
 		os.Exit(2)
@@ -235,7 +200,7 @@ func main() {
 	}
 	opts := []svtsim.Option{svtsim.WithHostTopology(topo), svtsim.WithParallelism(*par),
 		svtsim.WithPort(*portStr)}
-	if spec, err := buildFaultSpec(*faults, *faultRate, *faultSeed); err != nil {
+	if spec, err := fault.BuildSpec(*faults, *faultRate, *faultSeed); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	} else if spec != nil {

@@ -25,6 +25,15 @@ import (
 	"svtsim/internal/server"
 )
 
+// Connection timeouts. A client that stalls sending its headers, or
+// leaves a keep-alive connection idle, loses the connection instead of
+// pinning it. There is no write timeout: /stream responses stay open
+// for as long as the job runs.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	listen := flag.String("listen", "127.0.0.1:8080", "address to serve the /v1 API on")
 	workers := flag.Int("workers", 2, "jobs simulated concurrently")
@@ -48,7 +57,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "svtsimd:", err)
 		os.Exit(1)
 	}
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	fmt.Fprintf(os.Stderr, "svtsimd: serving on http://%s (workers=%d queue=%d cache=%dMiB)\n",
 		ln.Addr(), *workers, *queue, *cacheMB)
 

@@ -5,7 +5,6 @@ import (
 
 	"svtsim/internal/fault"
 	"svtsim/internal/hv"
-	"svtsim/internal/parallel"
 	"svtsim/internal/sim"
 )
 
@@ -179,10 +178,9 @@ func TestFaultSweepGridParallelDeterminism(t *testing.T) {
 		}
 		return cells
 	}
-	defer parallel.SetWorkers(0)
-	parallel.SetWorkers(1)
+	sess.SetParallelism(1)
 	serial := sess.FaultSweepGrid(mkCells())
-	parallel.SetWorkers(8)
+	sess.SetParallelism(8)
 	par := sess.FaultSweepGrid(mkCells())
 	if len(serial) != len(par) {
 		t.Fatalf("cell counts differ: %d vs %d", len(serial), len(par))

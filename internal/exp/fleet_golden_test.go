@@ -7,8 +7,14 @@ import (
 	"testing"
 
 	"svtsim/internal/fault"
+	"svtsim/internal/host"
 	"svtsim/internal/hv"
 )
+
+// testTopo2x2x2 is the smallest topology with a real socket boundary.
+func testTopo2x2x2() host.Topology {
+	return host.Topology{Sockets: 2, CoresPerSocket: 2, ThreadsPerCore: 2}
+}
 
 // fleetGoldenLines renders every fleet experiment that reaches the host
 // replay — density, migration storm, fault storm (beside a plain fault

@@ -20,7 +20,6 @@ import (
 
 	"svtsim/internal/hv"
 	"svtsim/internal/parallel"
-	"svtsim/internal/sim"
 )
 
 // ProgressEvent is one completed step of a job: Done of Total steps of
@@ -140,33 +139,4 @@ func (s *Session) FaultSweepGridJob(ctx context.Context, cells []FaultCell, pr P
 			}
 			return s.FaultSweep(c.Mode, c.Spec, c.N, nil)
 		})
-}
-
-// fleetReplayWindows is the progress granularity of a fleet replay: the
-// simulated duration is covered in this many RunUntil windows, with the
-// context checked between them. RunUntil is exact and monotonic
-// (TestRepeatedRunUntil in internal/sim), so windowing never changes the
-// digest.
-const fleetReplayWindows = 16
-
-// FleetReplayJob runs the fleet-replay macro on the session's topology
-// and host params, with cancellation and progress between simulated-time
-// windows. dur and tick <= 0 keep the DefaultFleetReplaySpec values;
-// crossEvery < 0 keeps the default (0 disables cross-socket IPIs). An
-// uncancelled job's result is byte-identical to FleetReplay on the same
-// spec.
-func (s *Session) FleetReplayJob(ctx context.Context, dur, tick sim.Time, crossEvery int, pr ProgressFunc) (FleetReplayResult, error) {
-	spec := DefaultFleetReplaySpec()
-	spec.Topo = s.Topology()
-	spec.P = s.HostParams()
-	if dur > 0 {
-		spec.Dur = dur
-	}
-	if tick > 0 {
-		spec.Tick = tick
-	}
-	if crossEvery >= 0 {
-		spec.CrossEvery = crossEvery
-	}
-	return fleetReplay(ctx, spec, pr)
 }

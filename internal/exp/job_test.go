@@ -17,32 +17,6 @@ func jobTestSession(t *testing.T) *Session {
 	return s
 }
 
-// TestFleetReplayJobMatchesPlain: the windowed, cancellable replay must
-// produce the same digest as the monolithic one.
-func TestFleetReplayJobMatchesPlain(t *testing.T) {
-	spec := DefaultFleetReplaySpec()
-	spec.Topo = host.Topology{Sockets: 2, CoresPerSocket: 2, ThreadsPerCore: 2}
-	spec.Dur = spec.Dur / 10
-	plain := FleetReplay(spec)
-
-	s := NewSession()
-	if err := s.SetTopology(spec.Topo); err != nil {
-		t.Fatal(err)
-	}
-	var events int
-	job, err := s.FleetReplayJob(context.Background(), spec.Dur, spec.Tick, spec.CrossEvery,
-		func(ProgressEvent) { events++ })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if job != plain {
-		t.Errorf("FleetReplayJob = %+v, plain = %+v", job, plain)
-	}
-	if events != fleetReplayWindows {
-		t.Errorf("%d progress events, want %d", events, fleetReplayWindows)
-	}
-}
-
 // cellJobs are the jobs that fan one cell per mode out on the session's
 // pool, each run over every mode at a small size.
 var cellJobs = []struct {
@@ -130,9 +104,6 @@ func TestJobCancellation(t *testing.T) {
 	cancel2()
 	if _, err := s.StormTableJob(already, AllModes(), 2, 4, 1, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("StormTableJob err = %v, want context.Canceled", err)
-	}
-	if _, err := s.FleetReplayJob(already, 0, 0, -1, nil); !errors.Is(err, context.Canceled) {
-		t.Fatalf("FleetReplayJob err = %v, want context.Canceled", err)
 	}
 	if _, err := s.FaultSweepGridJob(already, []FaultCell{{Mode: AllModes()[0], N: 10}}, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("FaultSweepGridJob err = %v, want context.Canceled", err)

@@ -3,6 +3,7 @@ package exp
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"svtsim/internal/fault"
 	"svtsim/internal/guest"
@@ -49,15 +50,6 @@ const (
 // LBScenarios lists the supported scenario names in report order.
 func LBScenarios() []string {
 	return []string{"steady", "overload", "burst", "storm", "faults"}
-}
-
-func lbScenarioKnown(name string) bool {
-	for _, s := range LBScenarios() {
-		if s == name {
-			return true
-		}
-	}
-	return false
 }
 
 // LBResult is one (mode, scenario) cell of the load-balancer figure.
@@ -250,7 +242,7 @@ func (s *Session) LoadBalancer(mode hv.Mode, k int, scenario string, seed int64,
 }
 
 func (s *Session) loadBalancer(mode hv.Mode, k int, scenario string, seed int64, sloUs float64, cache *vmCache) LBResult {
-	if !lbScenarioKnown(scenario) {
+	if !slices.Contains(LBScenarios(), scenario) {
 		panic(fmt.Sprintf("exp: unknown lb scenario %q (want one of %v)", scenario, LBScenarios()))
 	}
 	if k < 1 {

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 
 	"svtsim/internal/fault"
@@ -9,7 +10,6 @@ import (
 	"svtsim/internal/hv"
 	"svtsim/internal/machine"
 	"svtsim/internal/obs"
-	"svtsim/internal/parallel"
 	"svtsim/internal/ports"
 	x86port "svtsim/internal/ports/x86"
 
@@ -105,7 +105,7 @@ func (s *Session) LastObs() *obs.Plane {
 }
 
 // SetParallelism sets this session's worker-pool width for sweeps;
-// n <= 0 inherits the process-wide pool (parallel.SetWorkers).
+// n <= 0 means GOMAXPROCS.
 func (s *Session) SetParallelism(n int) {
 	s.mu.Lock()
 	s.workers = n
@@ -120,7 +120,7 @@ func (s *Session) Workers() int {
 	if n > 0 {
 		return n
 	}
-	return parallel.Workers()
+	return runtime.GOMAXPROCS(0)
 }
 
 // SetTopology sets the host topology used by fleet-scale experiments

@@ -1,10 +1,12 @@
 package fault
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
 	"svtsim/internal/sim"
+	"svtsim/internal/uerr"
 )
 
 func TestPlaneDeterministicReplay(t *testing.T) {
@@ -221,6 +223,34 @@ func TestParseSpecErrors(t *testing.T) {
 	}
 	if spec.Build(sim.New()) != nil {
 		t.Fatal("empty spec built a plane")
+	}
+}
+
+// TestBuildSpec: the drop-rate shorthand arms SW-SVt wakeup and IPI
+// drops after any parsed sites, nothing set builds nil, and a rate
+// outside [0, 1] is a fault_rate error.
+func TestBuildSpec(t *testing.T) {
+	if spec, err := BuildSpec("", 0, 7); spec != nil || err != nil {
+		t.Fatalf("nothing set: %+v, %v", spec, err)
+	}
+	spec, err := BuildSpec("blk/complete:rate=0.1,drop", 0.25, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []SiteConfig{
+		{Site: SiteBlkComplete, Rate: 0.1, Drop: true},
+		{Site: SiteSVtWakeup, Rate: 0.25, Drop: true},
+		{Site: SiteIPI, Rate: 0.25, Drop: true},
+	}
+	if spec.Seed != 7 || !reflect.DeepEqual(spec.Sites, want) {
+		t.Fatalf("BuildSpec = %+v, want seed 7 sites %+v", spec, want)
+	}
+	for _, rate := range []float64{-0.1, 1.5} {
+		_, err := BuildSpec("", rate, 7)
+		var ue *uerr.E
+		if !errors.As(err, &ue) || ue.Field != "fault_rate" {
+			t.Errorf("rate %v: err %v, want a fault_rate uerr", rate, err)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"svtsim/internal/sim"
+	"svtsim/internal/uerr"
 )
 
 // Spec is a parsed fault configuration: a seed plus the set of armed
@@ -62,6 +63,35 @@ func (s *Spec) String() string {
 		parts = append(parts, c.Site+":"+strings.Join(kv, ","))
 	}
 	return strings.Join(parts, ";")
+}
+
+// BuildSpec combines a ParseSpec string with the drop-rate shorthand:
+// a rate in (0, 1] drops SW-SVt wakeups and IPIs with that probability.
+// It returns nil when neither is set. A rate outside [0, 1] is a
+// *uerr.E on field "fault_rate".
+func BuildSpec(arg string, rate float64, seed int64) (*Spec, error) {
+	var spec *Spec
+	if arg != "" {
+		s, err := ParseSpec(arg, seed)
+		if err != nil {
+			return nil, err
+		}
+		spec = s
+	}
+	if rate < 0 || rate > 1 {
+		return nil, uerr.New("fault_rate", fmt.Sprint(rate),
+			"must be in (0, 1]", "the probability of dropping a wakeup/IPI")
+	}
+	if rate > 0 {
+		if spec == nil {
+			spec = &Spec{Seed: seed}
+		}
+		spec.Sites = append(spec.Sites,
+			SiteConfig{Site: SiteSVtWakeup, Rate: rate, Drop: true},
+			SiteConfig{Site: SiteIPI, Rate: rate, Drop: true},
+		)
+	}
+	return spec, nil
 }
 
 // ParseSpec parses a CLI fault spec of the form

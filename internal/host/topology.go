@@ -64,6 +64,9 @@ func ParseTopology(s string) (Topology, error) {
 	return t, nil
 }
 
+// MaxContexts caps a topology's hardware contexts.
+const MaxContexts = 4096
+
 // Validate rejects degenerate shapes with the same structured errors
 // ParseTopology reports, so programmatic Topology values surface
 // user-facing messages too.
@@ -76,9 +79,9 @@ func (t Topology) Validate() error {
 			fmt.Sprintf("%d SMT contexts per core", t.ThreadsPerCore),
 			"the model supports at most 2-way SMT (the paper's testbed)")
 	}
-	if t.Contexts() > 4096 {
+	if t.Contexts() > MaxContexts {
 		return uerr.New("topology", t.String(),
-			fmt.Sprintf("%d hardware contexts exceeds the 4096 cap", t.Contexts()),
+			fmt.Sprintf("%d hardware contexts exceeds the %d cap", t.Contexts(), MaxContexts),
 			"shrink sockets, cores, or threads")
 	}
 	return nil

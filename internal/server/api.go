@@ -1,9 +1,9 @@
 // Package server is svtsim's serving layer: a long-running HTTP/JSON
 // daemon (cmd/svtsimd) that wraps the experiment Session and serves
 // concurrent simulation requests — density sweeps, migration storms,
-// load-balancer scenarios, fleet replays, differential checks, fault
-// grids, and the paper's single-machine figure workloads — behind a
-// bounded job queue and a content-addressed result cache.
+// load-balancer scenarios, differential checks, fault grids, and the
+// paper's single-machine figure workloads — behind a bounded job queue
+// and a content-addressed result cache.
 //
 // Determinism is the load-bearing wall: every experiment is a pure
 // function of its canonical request, so a request's SHA-256 digest
@@ -17,7 +17,10 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 
 	"svtsim/internal/exp"
@@ -32,7 +35,6 @@ import (
 const (
 	KindDensity   = "density"   // fleet consolidation sweep (exp.DensitySweep)
 	KindStorm     = "storm"     // migration storm table (exp.StormTable)
-	KindFleet     = "fleet"     // fleet event-engine replay (exp.FleetReplay)
 	KindCheck     = "check"     // differential cross-mode check (internal/check)
 	KindFaultGrid = "faultgrid" // fault-injection sweep grid (exp.FaultSweepGrid)
 	KindWorkload  = "workload"  // one single-machine figure workload per mode
@@ -43,16 +45,6 @@ const (
 var workloadNames = map[string]bool{
 	"cpuid": true, "netrr": true, "stream": true, "diskrd": true,
 	"diskwr": true, "memcached": true, "tpcc": true, "video": true,
-}
-
-// lbScenarioKnown reports whether name is a valid KindLB scenario.
-func lbScenarioKnown(name string) bool {
-	for _, s := range exp.LBScenarios() {
-		if s == name {
-			return true
-		}
-	}
-	return false
 }
 
 // Request is one experiment submission. The JSON shape doubles as the
@@ -82,9 +74,10 @@ type Request struct {
 	Storms   int     `json:"storms,omitempty"`
 	Scenario string  `json:"scenario,omitempty"`
 
-	// Fleet-replay knobs.
-	DurMs      int `json:"dur_ms,omitempty"`
-	CrossEvery int `json:"cross_every,omitempty"`
+	// DurMs is the simulated duration of the stream, tpcc and memcached
+	// workloads. It precedes the other workload knobs because field
+	// order is part of the digest preimage.
+	DurMs int `json:"dur_ms,omitempty"`
 
 	// Workload knobs.
 	Workload string  `json:"workload,omitempty"`
@@ -155,6 +148,10 @@ func (r *Request) Canonicalize() error {
 		return err
 	}
 
+	if err := r.checkSizes(); err != nil {
+		return err
+	}
+
 	switch r.Kind {
 	case KindDensity:
 		if r.VMs <= 0 {
@@ -163,7 +160,7 @@ func (r *Request) Canonicalize() error {
 		if r.SLOUs <= 0 {
 			r.SLOUs = 500
 		}
-		r.Seed, r.Storms, r.DurMs, r.CrossEvery = 0, 0, 0, 0
+		r.Seed, r.Storms, r.DurMs = 0, 0, 0
 		r.Workload, r.N, r.Rate, r.FPS, r.Schedules, r.Scenario = "", 0, 0, 0, 0, ""
 	case KindStorm:
 		if r.VMs <= 0 {
@@ -175,19 +172,8 @@ func (r *Request) Canonicalize() error {
 		if r.Seed == 0 {
 			r.Seed = 42
 		}
-		r.SLOUs, r.DurMs, r.CrossEvery = 0, 0, 0
+		r.SLOUs, r.DurMs = 0, 0
 		r.Workload, r.N, r.Rate, r.FPS, r.Schedules, r.Scenario = "", 0, 0, 0, 0, ""
-	case KindFleet:
-		if r.DurMs <= 0 {
-			r.DurMs = 20
-		}
-		if r.CrossEvery <= 0 {
-			r.CrossEvery = 64
-		}
-		r.Modes = nil // the replay is mode-free: pure engine + IPIs
-		r.Seed, r.VMs, r.SLOUs, r.Storms = 0, 0, 0, 0
-		r.Workload, r.N, r.Rate, r.FPS, r.Schedules, r.Scenario = "", 0, 0, 0, 0, ""
-		r.Faults, r.FaultSeed, r.FaultRate, r.Trace = "", 0, 0, false
 	case KindCheck:
 		if r.Schedules <= 0 {
 			r.Schedules = 25
@@ -196,7 +182,7 @@ func (r *Request) Canonicalize() error {
 			r.Seed = 1
 		}
 		r.Modes = nil // the oracle always runs the full mode set
-		r.VMs, r.SLOUs, r.Storms, r.DurMs, r.CrossEvery = 0, 0, 0, 0, 0
+		r.VMs, r.SLOUs, r.Storms, r.DurMs = 0, 0, 0, 0
 		r.Workload, r.N, r.Rate, r.FPS, r.Scenario = "", 0, 0, 0, ""
 		r.Faults, r.FaultSeed, r.FaultRate, r.Trace = "", 0, 0, false
 	case KindFaultGrid:
@@ -216,7 +202,7 @@ func (r *Request) Canonicalize() error {
 		if r.Storms <= 0 {
 			r.VMs, r.Seed = 0, 0
 		}
-		r.SLOUs, r.DurMs, r.CrossEvery = 0, 0, 0
+		r.SLOUs, r.DurMs = 0, 0
 		r.Workload, r.Rate, r.FPS, r.Schedules, r.Scenario = "", 0, 0, 0, ""
 	case KindWorkload:
 		if r.Workload == "" {
@@ -251,13 +237,13 @@ func (r *Request) Canonicalize() error {
 			}
 			r.N, r.DurMs, r.Rate = 0, 0, 0
 		}
-		r.Seed, r.VMs, r.SLOUs, r.Storms, r.CrossEvery, r.Schedules = 0, 0, 0, 0, 0, 0
+		r.Seed, r.VMs, r.SLOUs, r.Storms, r.Schedules = 0, 0, 0, 0, 0
 		r.Scenario = ""
 	case KindLB:
 		if r.Scenario == "" {
 			r.Scenario = "steady"
 		}
-		if !lbScenarioKnown(r.Scenario) {
+		if !slices.Contains(exp.LBScenarios(), r.Scenario) {
 			return uerr.New("scenario", r.Scenario, "unknown lb scenario",
 				"valid: "+strings.Join(exp.LBScenarios(), ", "))
 		}
@@ -270,65 +256,71 @@ func (r *Request) Canonicalize() error {
 		if r.Seed == 0 {
 			r.Seed = 42
 		}
-		r.Storms, r.DurMs, r.CrossEvery = 0, 0, 0
+		r.Storms, r.DurMs = 0, 0
 		r.Workload, r.N, r.Rate, r.FPS, r.Schedules = "", 0, 0, 0, 0
 	case "":
 		return uerr.New("kind", "", "missing request kind",
-			"valid: density, storm, fleet, check, faultgrid, workload, lb")
+			"valid: density, storm, check, faultgrid, workload, lb")
 	default:
 		return uerr.New("kind", r.Kind, "unknown request kind",
-			"valid: density, storm, fleet, check, faultgrid, workload, lb")
+			"valid: density, storm, check, faultgrid, workload, lb")
+	}
+	return nil
+}
+
+// Request size caps. A request past one is a 400 rather than a
+// simulation that holds a worker for hours; each sits far above every
+// figure, example and benchmark request. vms shares the topology's
+// hardware-context cap.
+const (
+	maxStorms    = 10_000
+	maxN         = 1_000_000
+	maxDurMs     = 60_000
+	maxSchedules = 10_000
+	maxFPS       = 1_000
+	maxRate      = 10_000_000
+)
+
+// checkSizes rejects any size field above its cap, whether or not the
+// kind consumes it.
+func (r *Request) checkSizes() error {
+	for _, c := range []struct {
+		field  string
+		v, max float64
+	}{
+		{"vms", float64(r.VMs), host.MaxContexts},
+		{"storms", float64(r.Storms), maxStorms},
+		{"n", float64(r.N), maxN},
+		{"dur_ms", float64(r.DurMs), maxDurMs},
+		{"schedules", float64(r.Schedules), maxSchedules},
+		{"fps", float64(r.FPS), maxFPS},
+		{"rate", r.Rate, maxRate},
+	} {
+		if c.v > c.max {
+			return uerr.New(c.field, strconv.FormatFloat(c.v, 'f', -1, 64),
+				"exceeds the size cap", "at most "+strconv.FormatFloat(c.max, 'f', -1, 64))
+		}
 	}
 	return nil
 }
 
 // canonFaults validates the fault-plane fields shared by several kinds.
 func (r *Request) canonFaults() error {
-	if r.Faults != "" {
-		if r.FaultSeed == 0 {
-			r.FaultSeed = 1
-		}
-		if _, err := fault.ParseSpec(r.Faults, r.FaultSeed); err != nil {
-			return uerr.New("faults", r.Faults, err.Error(), "")
-		}
-	}
-	if r.FaultRate != 0 {
-		if r.FaultRate < 0 || r.FaultRate > 1 {
-			return uerr.New("fault_rate", fmt.Sprint(r.FaultRate),
-				"must be in (0, 1]", "the probability of dropping a wakeup/IPI")
-		}
-		if r.FaultSeed == 0 {
-			r.FaultSeed = 1
-		}
-	}
 	if r.Faults == "" && r.FaultRate == 0 {
 		r.FaultSeed = 0
+		return nil
+	}
+	if r.FaultSeed == 0 {
+		r.FaultSeed = 1
+	}
+	if _, err := fault.BuildSpec(r.Faults, r.FaultRate, r.FaultSeed); err != nil {
+		var ue *uerr.E
+		if errors.As(err, &ue) {
+			return err
+		}
+		return uerr.New("faults", r.Faults, err.Error(), "")
 	}
 	return nil
-}
-
-// buildFaultSpec assembles the armed fault spec from the canonical
-// fields (nil when no faults were requested). Mirrors the svtsim CLI's
-// -faults/-fault-rate combination.
-func (r *Request) buildFaultSpec() (*fault.Spec, error) {
-	var spec *fault.Spec
-	if r.Faults != "" {
-		s, err := fault.ParseSpec(r.Faults, r.FaultSeed)
-		if err != nil {
-			return nil, err
-		}
-		spec = s
-	}
-	if r.FaultRate > 0 {
-		if spec == nil {
-			spec = &fault.Spec{Seed: r.FaultSeed}
-		}
-		spec.Sites = append(spec.Sites,
-			fault.SiteConfig{Site: fault.SiteSVtWakeup, Rate: r.FaultRate, Drop: true},
-			fault.SiteConfig{Site: fault.SiteIPI, Rate: r.FaultRate, Drop: true},
-		)
-	}
-	return spec, nil
 }
 
 // parsedModes maps the canonical mode names back to hv.Mode values.

@@ -49,7 +49,6 @@ func TestCanonicalizeDistinct(t *testing.T) {
 		{"density-topo", Request{Kind: KindDensity, Topology: "1x4x2"}},
 		{"storm", Request{Kind: KindStorm}},
 		{"storm-seed", Request{Kind: KindStorm, Seed: 7}},
-		{"fleet", Request{Kind: KindFleet}},
 		{"check", Request{Kind: KindCheck}},
 		{"workload", Request{Kind: KindWorkload}},
 		{"workload-netrr", Request{Kind: KindWorkload, Workload: "netrr"}},
@@ -82,7 +81,6 @@ func TestDigestsPinned(t *testing.T) {
 		{KindDensity, "060e0fea38d773ae400ac64c354ea06cb35d09d51b2cf27ccfbbf7957244ea5e"},
 		{KindStorm, "d81068225575da71430f2383701fe41930ffce9feb6490104b512751ada23fe2"},
 		{KindLB, "95eede3e64b0f06b109aa4104e659a68e1b02c45d3bd621669a9d74601052bc6"},
-		{KindFleet, "755492f26d7f0551f55f252843f9f41d10b5cb874df625c0457de7bcfda4aa5f"},
 	} {
 		for _, shards := range []int{0, 1, 4, 999} {
 			r := &Request{Kind: tc.kind, Shards: shards}

@@ -14,6 +14,7 @@ import (
 
 	"svtsim/internal/check"
 	"svtsim/internal/exp"
+	"svtsim/internal/fault"
 	"svtsim/internal/host"
 	"svtsim/internal/obs"
 	"svtsim/internal/ports"
@@ -44,7 +45,7 @@ func sessionFor(req *Request, simWorkers int) (*exp.Session, error) {
 		es.SetObs(&obs.Options{})
 	}
 	es.SetParallelism(workers)
-	spec, err := req.buildFaultSpec()
+	spec, err := fault.BuildSpec(req.Faults, req.FaultRate, req.FaultSeed)
 	if err != nil {
 		return nil, err
 	}
@@ -88,12 +89,6 @@ func (s *Server) execute(ctx context.Context, j *job) (*cacheEntry, error) {
 		for _, r := range results {
 			lines = append(lines, r.StatsLine())
 		}
-	case KindFleet:
-		r, err := es.FleetReplayJob(ctx, sim.Time(req.DurMs)*sim.Millisecond, 0, req.CrossEvery, pr)
-		if err != nil {
-			return nil, err
-		}
-		lines = append(lines, fleetLine(r))
 	case KindCheck:
 		lines, err = runCheck(ctx, req, pr)
 		if err != nil {
@@ -142,15 +137,6 @@ func (s *Server) execute(ctx context.Context, j *job) (*cacheEntry, error) {
 		size: entrySize(body, artifacts)}, nil
 }
 
-// fleetLine renders a fleet replay as one deterministic result line. Its
-// leading field predates the removal of the sharded engine and is kept,
-// like Request.Shards, so every fleet result stays byte-identical to the
-// bytes its digest has always addressed.
-func fleetLine(r exp.FleetReplayResult) string {
-	return fmt.Sprintf("shards=1 events=%d ticks=%d ipis=%d elapsed=%v digest=%016x",
-		r.Events, r.Ticks, r.IPIs, r.Elapsed, r.Digest)
-}
-
 // runCheck drives the differential oracle over consecutive seeds with
 // per-schedule progress and cancellation. Repro shrinking/writing stays
 // a CLI affair — the server reports verdicts, it does not own a disk
@@ -183,7 +169,7 @@ func runCheck(ctx context.Context, req *Request, pr exp.ProgressFunc) ([]string,
 
 // faultCells expands a faultgrid request into one cell per mode.
 func (r *Request) faultCells() ([]exp.FaultCell, error) {
-	spec, err := r.buildFaultSpec()
+	spec, err := fault.BuildSpec(r.Faults, r.FaultRate, r.FaultSeed)
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +12,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"svtsim/internal/uerr"
 )
 
 // Small, fast request shapes used throughout: a 1x2x2 host keeps every
@@ -21,8 +24,9 @@ func smallDensity() *Request {
 func smallStorm() *Request {
 	return &Request{Kind: KindStorm, Topology: "1x2x2", VMs: 4, Storms: 3}
 }
-func smallFleet() *Request {
-	return &Request{Kind: KindFleet, Topology: "1x2x2", DurMs: 2}
+func smallWorkload() *Request {
+	return &Request{Kind: KindWorkload, Workload: "cpuid", N: 20,
+		Modes: []string{"sw-svt"}, Topology: "1x2x2"}
 }
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *Client) {
@@ -42,16 +46,16 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *Client) {
 }
 
 // TestCacheHitByteIdentical is the tentpole acceptance check: for the
-// density, storm, and fleet-replay endpoints (the first two across all
+// density, storm, and workload endpoints (the first two across all
 // four paper modes — Canonicalize defaults Modes to the full set),
 // resubmitting an identical request must return a cache hit whose bytes
 // equal the cold run's. TestColdRunsAgreeAcrossServers pins the other
 // half: those bytes are determinism, not just storage.
 func TestCacheHitByteIdentical(t *testing.T) {
 	reqs := map[string]func() *Request{
-		"density": smallDensity,
-		"storm":   smallStorm,
-		"fleet":   smallFleet,
+		"density":  smallDensity,
+		"storm":    smallStorm,
+		"workload": smallWorkload,
 	}
 	ctx := context.Background()
 	_, c1 := newTestServer(t, Config{Workers: 2})
@@ -97,7 +101,7 @@ func TestCacheHitByteIdentical(t *testing.T) {
 func TestColdRunsAgreeAcrossServers(t *testing.T) {
 	ctx := context.Background()
 	for name, mk := range map[string]func() *Request{
-		"density": smallDensity, "storm": smallStorm, "fleet": smallFleet,
+		"density": smallDensity, "storm": smallStorm, "workload": smallWorkload,
 	} {
 		var runs [][]byte
 		for i := 0; i < 2; i++ {
@@ -346,6 +350,8 @@ func TestBadRequests(t *testing.T) {
 			[]string{"topology", "not a number", "sockets x cores"}},
 		{"bad kind", &Request{Kind: "frobnicate"},
 			[]string{"kind", "unknown request kind"}},
+		{"removed fleet kind", &Request{Kind: "fleet"},
+			[]string{"400 ", "kind", "unknown request kind"}},
 	} {
 		_, err := c.Submit(ctx, tc.req)
 		if err == nil {
@@ -369,6 +375,27 @@ func TestBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown field: status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestOversizeFieldsRejected: each size field past its cap gets a 400
+// naming the field, before any simulation starts.
+func TestOversizeFieldsRejected(t *testing.T) {
+	_, c := newTestServer(t, Config{Workers: 1})
+	for field, req := range map[string]*Request{
+		"vms":       {Kind: KindDensity, VMs: 4097},
+		"storms":    {Kind: KindStorm, Storms: 10001},
+		"n":         {Kind: KindWorkload, Workload: "cpuid", N: 1000001},
+		"dur_ms":    {Kind: KindWorkload, Workload: "stream", DurMs: 60001},
+		"schedules": {Kind: KindCheck, Schedules: 10001},
+		"fps":       {Kind: KindWorkload, Workload: "video", FPS: 1001},
+		"rate":      {Kind: KindWorkload, Workload: "memcached", Rate: 10000001},
+	} {
+		_, err := c.Submit(context.Background(), req)
+		var ue *uerr.E
+		if !errors.As(err, &ue) || ue.Field != field || !strings.HasPrefix(err.Error(), "400 ") {
+			t.Errorf("%s over its cap: err %v, want a 400 naming %s", field, err, field)
+		}
 	}
 }
 
@@ -548,7 +575,7 @@ func TestAllKindsServe(t *testing.T) {
 	for name, req := range map[string]*Request{
 		"density":   smallDensity(),
 		"storm":     smallStorm(),
-		"fleet":     smallFleet(),
+		"cpuid":     smallWorkload(),
 		"check":     {Kind: KindCheck, Schedules: 2},
 		"faultgrid": {Kind: KindFaultGrid, Topology: "1x2x2", FaultRate: 0.05, N: 10, Modes: []string{"hw"}},
 		"workload":  {Kind: KindWorkload, Workload: "netrr", N: 50, Topology: "1x2x2", Modes: []string{"sw", "hw"}},
