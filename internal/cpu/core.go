@@ -62,6 +62,8 @@ type Core struct {
 	svtNested ContextID
 	svtOn     bool
 
+	running *Port // port of the native guest whose body is executing
+
 	loaded     []*vmcs.VMCS // per-logical-CPU (context) current VMCS
 	lastLoaded *vmcs.VMCS   // per-core most recent VMPTRLD (feeds the SVt µ-registers)
 
@@ -109,6 +111,10 @@ func (c *Core) Contexts() int { return c.n }
 
 // Current reports the context instructions are fetched from.
 func (c *Core) Current() ContextID { return c.current }
+
+// Running reports the port of the native guest whose body is executing,
+// nil when none is.
+func (c *Core) Running() *Port { return c.running }
 
 // InVM reports the is_vm µ-register.
 func (c *Core) InVM() bool { return c.isVM }

@@ -485,32 +485,6 @@ func TestNativeGuestPhysicalIRQExit(t *testing.T) {
 	g.Kill()
 }
 
-// Regression: Kill used a non-blocking send, so a guest that had handed
-// off its exit but not yet parked on its resume channel was skipped and
-// its goroutine leaked, keeping its machine alive. The goroutine below
-// stands in for a guest caught in that window.
-func TestNativeGuestKillBeforePark(t *testing.T) {
-	g := NewNativeGuest("l1", testCore(1), 0, nil)
-	g.started = true
-	g.port.dead = make(chan struct{})
-	go func() {
-		defer close(g.port.dead)
-		defer func() {
-			if _, ok := recover().(killSentinel); ok {
-				g.finished = true
-			}
-		}()
-		time.Sleep(20 * time.Millisecond) // exit handed off, not yet parked
-		if (<-g.resume).kill {
-			panic(killSentinel{})
-		}
-	}()
-	g.Kill()
-	if !g.Finished() {
-		t.Fatal("Kill returned before the guest goroutine unwound")
-	}
-}
-
 // A panic in a native guest body surfaces on the goroutine that ran the
 // guest, where the caller's recover can contain it, instead of crashing
 // the process from the guest's own goroutine.
@@ -536,4 +510,74 @@ func TestNativeGuestPanicReachesCaller(t *testing.T) {
 		t.Fatal("a panicked guest must be finished")
 	}
 	g.Kill() // no-op: the goroutine is gone
+}
+
+// panicWithin runs f and returns what it panicked with. The wrong-context
+// cases below used to block forever in a channel handoff, so f runs on
+// its own goroutine under a deadline and a hang fails the test.
+func panicWithin(t *testing.T, f func()) any {
+	t.Helper()
+	got := make(chan any, 1)
+	go func() {
+		defer func() { got <- recover() }()
+		f()
+	}()
+	select {
+	case r := <-got:
+		return r
+	case <-time.After(5 * time.Second):
+		t.Fatal("hung instead of failing closed")
+		return nil
+	}
+}
+
+// suspendedGuest returns a guest on context 1 of c that has run to its
+// first trap and sits suspended there.
+func suspendedGuest(t *testing.T, c *Core) *NativeGuest {
+	t.Helper()
+	b := NewNativeGuest("l1-svt", c, 1, func(p *Port) {
+		for {
+			p.Exec(isa.CPUID(0))
+		}
+	})
+	if e := c.RunGuest(1, newVMCS("vmcs01-svt", 1), b, nil); e.Reason != isa.ExitCPUID {
+		t.Fatalf("exit = %v", e)
+	}
+	return b
+}
+
+func TestTrapOnSuspendedGuestsPortFailsClosed(t *testing.T) {
+	c := testCore(2)
+	b := suspendedGuest(t, c)
+	defer b.Kill()
+	a := NewNativeGuest("l1-main", c, 0, func(p *Port) {
+		b.Port().Exec(isa.CPUID(1))
+	})
+	got := panicWithin(t, func() { c.RunGuest(0, newVMCS("vmcs01", 1), a, nil) })
+	if want := "cpu: l1-main trapped on l1-svt's port"; got != want {
+		t.Fatalf("panic = %v, want %q", got, want)
+	}
+}
+
+func TestTrapOutsideAnyGuestFailsClosed(t *testing.T) {
+	c := testCore(2)
+	b := suspendedGuest(t, c)
+	defer b.Kill()
+	got := panicWithin(t, func() { b.Port().Exec(isa.CPUID(1)) })
+	if want := "cpu: no guest trapped on l1-svt's port"; got != want {
+		t.Fatalf("panic = %v, want %q", got, want)
+	}
+}
+
+func TestResumeFinishedGuestFailsClosed(t *testing.T) {
+	c := testCore(1)
+	v := newVMCS("vmcs01", 1)
+	g := NewNativeGuest("l2", c, 0, func(p *Port) {})
+	if e := c.RunGuest(0, v, g, nil); e.Qualification != QualGuestDone {
+		t.Fatalf("exit = %v", e)
+	}
+	got := panicWithin(t, func() { c.RunGuest(0, v, g, nil) })
+	if want := "cpu: l2 resumed after it finished"; got != want {
+		t.Fatalf("panic = %v, want %q", got, want)
+	}
 }

@@ -1,6 +1,15 @@
+// go vet rejects iter.Pull under go.mod's go 1.22. The tag raises this
+// file's language version alone; raising go.mod's would break the
+// perfbench module, which requires this one.
+
+//go:build go1.23
+
 package cpu
 
 import (
+	"fmt"
+	"iter"
+
 	"svtsim/internal/isa"
 	"svtsim/internal/ports"
 	"svtsim/internal/sim"
@@ -138,43 +147,35 @@ func (c *Core) runCompute(rs *RunState) {
 	}
 }
 
-type resumeMsg struct{ kill bool }
-
 type killSentinel struct{}
 
-// NativeGuest runs real Go code — a guest hypervisor's handler logic — on
-// its own goroutine, with strict one-at-a-time handoff to the simulation:
-// the code performs architectural actions through its Port, and any
-// trapping instruction parks the goroutine and surfaces the VM exit to
-// whoever executed VMRESUME. This is how the same hypervisor
-// implementation runs both as L0 (on the real platform) and as L1 (on a
-// virtualized platform whose privileged operations genuinely trap).
+// NativeGuest runs real Go code — a guest hypervisor's handler logic — as
+// a coroutine of the simulation: the code performs architectural actions
+// through its Port, and any trapping instruction suspends the body and
+// surfaces the VM exit to whoever executed VMRESUME, which resumes it
+// with the next VMRESUME. This is how the same hypervisor implementation
+// runs both as L0 (on the real platform) and as L1 (on a virtualized
+// platform whose privileged operations genuinely trap).
 type NativeGuest struct {
 	Name string
 
 	body       func(*Port)
 	port       *Port
-	started    bool
 	finished   bool
 	parkedIdle bool
 
-	resume chan resumeMsg
-	yield  chan *isa.Exit // nil hands over a panic from the body
-	// panicked is the body's panic value, re-raised by runNative on the
-	// goroutine that ran the guest.
-	panicked any
+	// next resumes the body until its next exit; stop unwinds it. Both
+	// come from iter.Pull on the first RunGuest.
+	next  func() (*isa.Exit, bool)
+	stop  func()
+	yield func(*isa.Exit) bool
 }
 
 // NewNativeGuest creates a native guest bound to context ctx of core c.
 // Configure the returned guest's Port (virtual LAPIC, IRQ handler) before
 // the first RunGuest.
 func NewNativeGuest(name string, c *Core, ctx ContextID, body func(*Port)) *NativeGuest {
-	g := &NativeGuest{
-		Name:   name,
-		body:   body,
-		resume: make(chan resumeMsg),
-		yield:  make(chan *isa.Exit),
-	}
+	g := &NativeGuest{Name: name, body: body}
 	g.port = &Port{core: c, guest: g, Ctx: ctx}
 	return g
 }
@@ -195,49 +196,42 @@ func (g *NativeGuest) DeliverIRQ(vec int) {
 	}
 }
 
-// Kill unwinds a parked native guest's goroutine and waits for it to
-// exit. It is a no-op for guests that never started or already finished.
-// A started guest is always parked or about to park on its resume
-// channel (it has handed off its last exit), so the send cannot block
-// for long.
+// Kill unwinds a suspended guest body. It is a no-op for guests that
+// never started or already finished.
 func (g *NativeGuest) Kill() {
-	if !g.started || g.finished {
-		return
+	if g.stop != nil {
+		g.stop()
 	}
-	g.resume <- resumeMsg{kill: true}
-	<-g.port.dead
+}
+
+// run is the guest's coroutine. A killed body unwinds through
+// killSentinel; any other panic propagates to the caller of next.
+func (g *NativeGuest) run(yield func(*isa.Exit) bool) {
+	g.yield = yield
+	defer func() {
+		g.finished = true
+		if r := recover(); r != nil && r != (killSentinel{}) {
+			panic(r)
+		}
+	}()
+	g.body(g.port)
 }
 
 func (c *Core) runNative(ctx ContextID, v *vmcs.VMCS, g *NativeGuest) *isa.Exit {
+	if g.finished {
+		panic(fmt.Sprintf("cpu: %s resumed after it finished", g.Name))
+	}
 	c.enterGuest(ctx, v, g)
 	g.port.VM = v
-	if !g.started {
-		g.started = true
-		g.port.dead = make(chan struct{})
-		go func() {
-			defer close(g.port.dead)
-			defer func() {
-				if r := recover(); r != nil {
-					g.finished = true
-					if _, ok := r.(killSentinel); ok {
-						return
-					}
-					// Hand the panic to the goroutine that ran the guest,
-					// so the caller's recover sees it.
-					g.panicked = r
-					g.yield <- nil
-				}
-			}()
-			g.body(g.port)
-			g.finished = true
-			g.yield <- &isa.Exit{Reason: isa.ExitVMCall, Qualification: QualGuestDone}
-		}()
-	} else {
-		g.resume <- resumeMsg{}
+	if g.next == nil {
+		g.next, g.stop = iter.Pull(g.run)
 	}
-	e := <-g.yield
-	if e == nil {
-		panic(g.panicked)
+	prev := c.running
+	c.running = g.port
+	defer func() { c.running = prev }()
+	e, ok := g.next()
+	if !ok {
+		e = &isa.Exit{Reason: isa.ExitVMCall, Qualification: QualGuestDone}
 	}
 	return c.exitGuest(ctx, v, e)
 }
@@ -259,7 +253,6 @@ type Port struct {
 	IRQHandler func(vec int)
 
 	inIRQ bool
-	dead  chan struct{}
 }
 
 // Park models the monitor/mwait wait of the SW SVt prototype: the thread
@@ -369,7 +362,7 @@ func (p *Port) ExecRaw(in isa.Instr) uint64 {
 }
 
 // Exec executes one instruction on behalf of the native guest. Trapping
-// instructions park the goroutine until the hypervisor resumes the guest;
+// instructions suspend the body until the hypervisor resumes the guest;
 // the emulation result is then read from the guest's RAX per the
 // hypervisor call convention.
 func (p *Port) Exec(in isa.Instr) uint64 {
@@ -386,12 +379,18 @@ func (p *Port) Exec(in isa.Instr) uint64 {
 	return res.Value
 }
 
-// trap parks the goroutine, surfacing e as the VM exit of the current
-// RunGuest session.
+// trap suspends the guest, surfacing e as the VM exit of the current
+// RunGuest session. Only the running guest can trap on its own port; a
+// trap from any other context is a wiring bug and fails closed.
 func (p *Port) trap(e *isa.Exit) {
-	p.guest.yield <- e
-	msg := <-p.guest.resume
-	if msg.kill {
+	if r := p.core.running; r != p {
+		who := "no guest"
+		if r != nil {
+			who = r.guest.Name
+		}
+		panic(fmt.Sprintf("cpu: %s trapped on %s's port", who, p.guest.Name))
+	}
+	if !p.guest.yield(e) {
 		panic(killSentinel{})
 	}
 }

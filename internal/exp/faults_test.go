@@ -2,6 +2,7 @@ package exp
 
 import (
 	"testing"
+	"time"
 
 	"svtsim/internal/fault"
 	"svtsim/internal/hv"
@@ -189,6 +190,47 @@ func TestFaultSweepGridParallelDeterminism(t *testing.T) {
 		if serial[i].StatsLine() != par[i].StatsLine() {
 			t.Fatalf("cell %d diverged:\nserial:   %s\nparallel: %s",
 				i, serial[i].StatsLine(), par[i].StatsLine())
+		}
+	}
+}
+
+// TestSWSVtFaultRateSweepCompletes drops wakeups and IPIs the way
+// `svtsim -mode sw-svt -fault-rate 0.2` does. The breaker then degrades
+// the channel to trap/resume with device I/O in flight, and L1-main runs
+// L1's drivers. Every cell must finish; one that hangs fails the test at
+// its deadline instead of hanging the package.
+func TestSWSVtFaultRateSweepCompletes(t *testing.T) {
+	runs := map[string]func(*Session){
+		"netrr":     func(s *Session) { s.NetLatency(hv.ModeSWSVt, 100) },
+		"diskrd":    func(s *Session) { s.DiskLatency(hv.ModeSWSVt, false, 100) },
+		"diskwr":    func(s *Session) { s.DiskLatency(hv.ModeSWSVt, true, 100) },
+		"memcached": func(s *Session) { s.Memcached(hv.ModeSWSVt, 10000, sim.Second) },
+	}
+	for _, w := range []string{"netrr", "diskrd", "diskwr", "memcached"} {
+		seeds := int64(20)
+		if w == "memcached" {
+			seeds = 3
+		}
+		for seed := int64(1); seed <= seeds; seed++ {
+			spec, err := fault.BuildSpec("", 0.2, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sess := NewSession()
+			sess.SetFaults(spec)
+			done := make(chan any, 1)
+			go func() {
+				defer func() { done <- recover() }()
+				runs[w](sess)
+			}()
+			select {
+			case r := <-done:
+				if r != nil {
+					t.Fatalf("%s fault-seed %d: %v", w, seed, r)
+				}
+			case <-time.After(time.Minute):
+				t.Fatalf("%s fault-seed %d hung", w, seed)
+			}
 		}
 	}
 }

@@ -204,7 +204,7 @@ func (s *Session) runSingle(m *machine.Machine) *hv.Profile {
 }
 
 // annotatePanic stamps a run's panic with its seeds and unwinds the
-// machine's parked native guests, so a contained panic leaks no
+// machine's suspended native guests, so a contained panic leaks no
 // goroutines.
 func annotatePanic(m *machine.Machine) {
 	r := recover()

@@ -49,7 +49,7 @@ func NewBlkDriver(e *Env, vector int, mmio uint64, layoutBase uint64, qsize uint
 		PerRequestCPU: 1500, // ns: block layer + fs shim
 	}
 	virtio.ConfigureQueue(func(addr, val uint64) {
-		e.Port.Exec(isa.MMIOWrite(addr, val))
+		e.Exec(isa.MMIOWrite(addr, val))
 	}, mmio, 0, l)
 	e.Blk = d
 	return d, nil
@@ -87,7 +87,7 @@ func (d *BlkDriver) Submit(write bool, sector uint64, data []byte, done func(ok 
 		panic(fmt.Sprintf("guest blk: %v", err))
 	}
 	d.inflight[head] = &blkOp{write: write, hdrGPA: hdrGPA, dataGPA: dataGPA, n: n, stsGPA: stsGPA, done: done}
-	d.Env.Port.Exec(isa.MMIOWrite(d.MMIO+virtio.RegQueueNotify, 0))
+	d.Env.Exec(isa.MMIOWrite(d.MMIO+virtio.RegQueueNotify, 0))
 }
 
 // Read performs a synchronous read of n bytes at sector.
@@ -119,7 +119,7 @@ func (d *BlkDriver) Write(sector uint64, data []byte) bool {
 // OnIRQ retires completed requests, first acknowledging the device
 // interrupt with a trapped MMIO write.
 func (d *BlkDriver) OnIRQ() {
-	d.Env.Port.Exec(isa.MMIOWrite(d.MMIO+virtio.RegIntrAck, 1))
+	d.Env.Exec(isa.MMIOWrite(d.MMIO+virtio.RegIntrAck, 1))
 	for {
 		head, _, ok, err := d.Q.PopUsed()
 		if err != nil {

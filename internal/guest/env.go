@@ -8,6 +8,7 @@ package guest
 
 import (
 	"fmt"
+	"slices"
 
 	"svtsim/internal/cpu"
 	"svtsim/internal/isa"
@@ -18,7 +19,10 @@ import (
 // Env is the environment handed to a workload body.
 type Env struct {
 	Port *cpu.Port
-	Mem  virtio.MemIO // the guest's own physical memory
+	// VCPUs are the ports of every vCPU of the VM, Port included. Kernel
+	// code runs on whichever of them is executing; see port.
+	VCPUs []*cpu.Port
+	Mem   virtio.MemIO // the guest's own physical memory
 
 	Net   *NetDriver
 	Blk   *BlkDriver
@@ -34,7 +38,7 @@ type Env struct {
 // [arenaBase, arenaBase+arenaSize) of guest-physical memory.
 func NewEnv(port *cpu.Port, m virtio.MemIO, arenaBase, arenaSize uint64) *Env {
 	return &Env{
-		Port: port, Mem: m,
+		Port: port, VCPUs: []*cpu.Port{port}, Mem: m,
 		arena: arenaBase, arenaEnd: arenaBase + arenaSize,
 		freeList: make(map[uint64][]uint64),
 	}
@@ -73,19 +77,33 @@ func (e *Env) Now() sim.Time {
 	return e.Port.Now()
 }
 
+// port returns the running vCPU's port when it is one of this VM's, as
+// kernel code runs on whichever vCPU calls it, and Port otherwise (whose
+// trap then fails closed unless its vCPU is the one running).
+func (e *Env) port() *cpu.Port {
+	if r := e.Port.Core().Running(); slices.Contains(e.VCPUs, r) {
+		return r
+	}
+	return e.Port
+}
+
+// Exec executes one instruction on the calling vCPU.
+func (e *Env) Exec(in isa.Instr) uint64 { return e.port().Exec(in) }
+
 // Compute burns d of interruptible guest work.
-func (e *Env) Compute(d sim.Time) { e.Port.Compute(d) }
+func (e *Env) Compute(d sim.Time) { e.port().Compute(d) }
 
 // WaitFor halts the vCPU until cond holds, waking on each interrupt.
 // It panics if the simulation runs out of events while waiting.
 func (e *Env) WaitFor(cond func() bool) {
+	p := e.port()
 	for !cond() {
-		e.Port.PollIRQs()
+		p.PollIRQs()
 		if cond() {
 			return
 		}
-		e.Port.ExecHLT()
-		e.Port.PollIRQs()
+		p.ExecHLT()
+		p.PollIRQs()
 	}
 }
 
@@ -131,12 +149,12 @@ func NewTimerDriver(e *Env, vector int) *TimerDriver {
 // Arm sets the deadline to absolute virtual time t.
 func (t *TimerDriver) Arm(deadline sim.Time) {
 	t.armedAt = deadline
-	t.Env.Port.Exec(isa.WRMSR(isa.MSRTSCDeadline, uint64(deadline)))
+	t.Env.Exec(isa.WRMSR(isa.MSRTSCDeadline, uint64(deadline)))
 }
 
 // Disarm cancels the deadline (a zero write, which also traps).
 func (t *TimerDriver) Disarm() {
-	t.Env.Port.Exec(isa.WRMSR(isa.MSRTSCDeadline, 0))
+	t.Env.Exec(isa.WRMSR(isa.MSRTSCDeadline, 0))
 }
 
 // Fired reports how many timer interrupts the guest handled.

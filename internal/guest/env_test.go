@@ -3,8 +3,13 @@ package guest
 import (
 	"testing"
 
+	"svtsim/internal/cost"
+	"svtsim/internal/cpu"
 	"svtsim/internal/ept"
+	"svtsim/internal/isa"
 	"svtsim/internal/mem"
+	"svtsim/internal/sim"
+	"svtsim/internal/vmcs"
 )
 
 func testEnv() *Env {
@@ -82,5 +87,47 @@ func TestIRQDispatchRouting(t *testing.T) {
 	d(0x99) // unknown vectors are ignored
 	if e.Timer.Fired() != 1 {
 		t.Fatalf("fired = %d", e.Timer.Fired())
+	}
+}
+
+// Kernel code traps on whichever of its VM's vCPUs calls it; another
+// VM's guest calling it fails closed on the environment's own port.
+func TestEnvExecTrapsOnCallingVCPU(t *testing.T) {
+	costs := cost.Baseline()
+	c := cpu.New(sim.New(), &costs, 3, mem.New(1<<20))
+	var env *Env
+	svt := cpu.NewNativeGuest("L1-svt", c, 1, func(p *cpu.Port) {
+		for {
+			p.Exec(isa.CPUID(0))
+		}
+	})
+	l1main := cpu.NewNativeGuest("L1-main", c, 0, func(*cpu.Port) { env.Exec(isa.CPUID(7)) })
+	l2 := cpu.NewNativeGuest("L2", c, 2, func(*cpu.Port) { env.Exec(isa.CPUID(7)) })
+	defer func() {
+		for _, g := range []*cpu.NativeGuest{svt, l1main, l2} {
+			g.Kill()
+		}
+	}()
+	env = NewEnv(svt.Port(), nil, 0, 0)
+	env.VCPUs = append(env.VCPUs, l1main.Port())
+	vm := func(name string) *vmcs.VMCS {
+		v := vmcs.New(name)
+		v.VMLevel = 1
+		return v
+	}
+
+	if e := c.RunGuest(1, vm("vmcs01-svt"), svt, nil); e.Reason != isa.ExitCPUID {
+		t.Fatalf("exit = %v", e)
+	}
+	if e := c.RunGuest(0, vm("vmcs01"), l1main, nil); e.Reason != isa.ExitCPUID || e.Qualification != 7 {
+		t.Fatalf("L1-main's driver call: exit = %v, want its own CPUID trap", e)
+	}
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		c.RunGuest(2, vm("vmcs02"), l2, nil)
+		return nil
+	}()
+	if want := "cpu: L2 trapped on L1-svt's port"; got != want {
+		t.Fatalf("panic = %v, want %q", got, want)
 	}
 }

@@ -163,6 +163,11 @@ func WireNestedIO(cfg *Config, p IOParams) *IOStack {
 		// backends that serve L2's devices through them.
 		view01 := ept.NewView(m.HostMem, m.Ept01)
 		env1 := guest.NewEnv(port, view01, l1ArenaBase, l1ArenaSize)
+		// Under SW-SVt port is the SVt-thread's; L1-main runs the same
+		// drivers when the channel degrades to trap/resume.
+		if main := m.L1Guest.Port(); main != port {
+			env1.VCPUs = append(env1.VCPUs, main)
+		}
 		io.L1Env = env1
 
 		nd, err := guest.NewNetDriver(env1, ports.VecVirtioNet, L1NetMMIO, l1NetLayout, guest.DefaultNetConfig())

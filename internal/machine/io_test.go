@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"runtime"
 	"testing"
 
 	"svtsim/internal/guest"
@@ -60,5 +61,38 @@ func TestNestedNetRR(t *testing.T) {
 	t.Logf("TCP_RR: base=%.1f sw=%.1f (%.2fx) hw=%.1f (%.2fx)", s.Mean, sw, s.Mean/sw, hw, s.Mean/hw)
 	if !(hw < sw && sw < s.Mean) {
 		t.Errorf("ordering violated: base=%.1f sw=%.1f hw=%.1f", s.Mean, sw, hw)
+	}
+}
+
+// Run + Shutdown of a nested machine with I/O leaves no goroutine
+// behind: every native guest (L1-main, the SVt-thread, L2) is unwound,
+// including the ones suspended mid-trap when the workload finished.
+func TestShutdownLeavesNoGoroutines(t *testing.T) {
+	for _, mode := range []hv.Mode{hv.ModeBaseline, hv.ModeSWSVt, hv.ModeHWSVt} {
+		t.Run(mode.String(), func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			cfg := DefaultConfig(mode)
+			io := WireNestedIO(&cfg, DefaultIOParams())
+			m := NewNested(cfg)
+			io.NIC.Peer = &netsim.EchoPeer{
+				Eng: m.Eng, Back: io.LinkIn, Dst: io.NIC,
+				ServiceTime: 5 * sim.Microsecond, RespSize: 1,
+			}
+			w := &workload.NetRR{N: 20, ReqSize: 1, TCPModel: true}
+			m.InstallL2(io, true, true, func(env *guest.Env) {
+				w.Run(env)
+				if !env.Blk.Write(8, make([]byte, 512)) {
+					t.Error("nested write failed")
+				}
+			})
+			m.Run()
+			m.Shutdown()
+			if len(w.Lat) != w.N {
+				t.Fatalf("completed %d/%d transactions", len(w.Lat), w.N)
+			}
+			if after := runtime.NumGoroutine(); after != before {
+				t.Fatalf("%d goroutines before building, %d after Shutdown", before, after)
+			}
+		})
 	}
 }

@@ -483,7 +483,7 @@ func (m *Machine) Run() *hv.Profile {
 // nested machine's obs plane was recorded by L0.
 const L1ViewVCPU = "L1.vcpu-l2"
 
-// Shutdown unwinds any parked native-guest goroutines.
+// Shutdown unwinds every suspended native guest.
 func (m *Machine) Shutdown() {
 	if m.L1Guest != nil {
 		m.L1Guest.Kill()

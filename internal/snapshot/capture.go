@@ -32,7 +32,7 @@ type entry struct {
 // plan, which is what makes a snapshot restorable: into the machine it
 // came from, or into a freshly built machine of identical configuration.
 //
-// Execution contexts (parked goroutines, in-flight engine events such
+// Execution contexts (suspended native guests, in-flight engine events such
 // as a packet on the wire or a pending disk completion) are not part of
 // the plan: capture is defined at quiescent op boundaries, and restore
 // has write-back semantics — architectural state is replaced while
@@ -436,7 +436,7 @@ func putVCPU(w *writer, vc *hv.VCPU) {
 		w.word(msrs[a])
 	}
 	// Halted is captured for comparison but not restored: it mirrors a
-	// goroutine parked in a live HLT wait, which restore's write-back
+	// guest suspended in a live HLT wait, which restore's write-back
 	// semantics leave running.
 	w.boolWord(vc.Halted)
 }

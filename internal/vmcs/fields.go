@@ -6,10 +6,7 @@
 // (Table 2): SVt_visor, SVt_vm and SVt_nested.
 package vmcs
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Field identifies one VMCS field.
 type Field uint32
@@ -189,17 +186,19 @@ func (f Field) Shadowable() bool {
 	return false
 }
 
-// FieldsOfClass returns, in stable order, all fields of class c.
-func FieldsOfClass(c Class) []Field {
-	var out []Field
+// classFields holds each class's fields in field order, built once: the
+// transforms walk them on every nested exit.
+var classFields = func() (t [ClassSVt + 1][]Field) {
 	for f := Field(0); f < NumFields; f++ {
-		if fieldTable[f].class == c {
-			out = append(out, f)
-		}
+		c := fieldTable[f].class
+		t[c] = append(t[c], f)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+	return t
+}()
+
+// FieldsOfClass returns, in field order, all fields of class c. The slice
+// is shared: callers must not modify it.
+func FieldsOfClass(c Class) []Field { return classFields[c] }
 
 // Execution-control bits used by the model.
 const (
