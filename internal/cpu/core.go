@@ -39,13 +39,6 @@ type Core struct {
 	Eng   *sim.Engine
 	Costs *cost.Model
 
-	// ID and Socket give the core its identity on a multi-core host
-	// (global physical-core index and socket index); single-machine
-	// runs leave both 0. They feed event attribution and per-core
-	// accounting, never timing.
-	ID     int
-	Socket int
-
 	n        int
 	rf       *RegFile
 	hostSave [][isa.NumGPR]uint64 // per-context host registers during guest execution
@@ -115,9 +108,6 @@ func (c *Core) Current() ContextID { return c.current }
 // Running reports the port of the native guest whose body is executing,
 // nil when none is.
 func (c *Core) Running() *Port { return c.running }
-
-// InVM reports the is_vm µ-register.
-func (c *Core) InVM() bool { return c.isVM }
 
 // EnableSVt switches the core into SVt mode: transitions become
 // stall/resume events and registers stay resident per context.
@@ -261,13 +251,13 @@ func guestCat(v *vmcs.VMCS) sim.Category {
 	return sim.CatL1
 }
 
-func (c *Core) enterGuest(ctx ContextID, v *vmcs.VMCS, g Guest) {
+func (c *Core) enterGuest(ctx ContextID, v *vmcs.VMCS, g *NativeGuest) {
 	c.Stats.Entries++
 	if led := c.Eng.Ledger(); led != nil {
 		led.Swap(enterCat(v))
 		defer led.Swap(guestCat(v))
 	}
-	if ng, ok := g.(*NativeGuest); ok && ng.parkedIdle {
+	if g.parkedIdle {
 		// Resuming a thread that never left guest mode (mwait park): no
 		// VMX transition, no register movement. The wake latency itself is
 		// charged by the SW SVt channel per its wait policy.
@@ -276,7 +266,7 @@ func (c *Core) enterGuest(ctx ContextID, v *vmcs.VMCS, g Guest) {
 		if info := v.Read(vmcs.EntryIntrInfo); info&InjectValid != 0 {
 			v.Write(vmcs.EntryIntrInfo, 0)
 			c.Stats.InjectedIRQs++
-			g.DeliverIRQ(int(info & 0xFF))
+			g.deliverIRQ(int(info & 0xFF))
 		}
 		return
 	}
@@ -304,9 +294,7 @@ func (c *Core) enterGuest(ctx ContextID, v *vmcs.VMCS, g Guest) {
 	if info := v.Read(vmcs.EntryIntrInfo); info&InjectValid != 0 {
 		v.Write(vmcs.EntryIntrInfo, 0)
 		c.Stats.InjectedIRQs++
-		if g != nil {
-			g.DeliverIRQ(int(info & 0xFF))
-		}
+		g.deliverIRQ(int(info & 0xFF))
 	}
 }
 
@@ -389,9 +377,5 @@ const (
 )
 
 func (c *Core) String() string {
-	if c.ID != 0 || c.Socket != 0 {
-		return fmt.Sprintf("core(id=%d socket=%d n=%d current=%d svt=%v)",
-			c.ID, c.Socket, c.n, c.current, c.svtOn)
-	}
 	return fmt.Sprintf("core(n=%d current=%d svt=%v)", c.n, c.current, c.svtOn)
 }

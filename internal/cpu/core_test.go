@@ -74,29 +74,19 @@ func TestVMPtrLoadNoSwapUnderSVt(t *testing.T) {
 	}
 }
 
-// loopGuest executes a fixed slice of actions and then reports done.
-type loopGuest struct {
-	acts []Action
-	i    int
-	irqs []int
+// loopGuest is a bare guest on context 0 of c: body runs as its
+// workload with no virtual LAPIC or interrupt handler.
+func loopGuest(c *Core, body func(*Port)) *NativeGuest {
+	return NewNativeGuest("g", c, 0, body)
 }
-
-func (g *loopGuest) Step() Action {
-	if g.i >= len(g.acts) {
-		return Action{Kind: ActDone}
-	}
-	a := g.acts[g.i]
-	g.i++
-	return a
-}
-func (g *loopGuest) DeliverIRQ(vec int) { g.irqs = append(g.irqs, vec) }
 
 func TestRunProgramCPUIDExit(t *testing.T) {
 	c := testCore(1)
 	v := newVMCS("vmcs01", 1)
 	c.VMPtrLoad(0, v)
-	g := &loopGuest{acts: []Action{{Kind: ActInstr, Instr: isa.CPUID(1)}}}
-	e := c.RunGuest(0, v, g, &RunState{})
+	g := loopGuest(c, func(p *Port) { p.Exec(isa.CPUID(1)) })
+	defer g.Kill()
+	e := c.RunGuest(0, v, g)
 	if e.Reason != isa.ExitCPUID || e.Qualification != 1 {
 		t.Fatalf("exit = %v", e)
 	}
@@ -111,8 +101,8 @@ func TestRunProgramCPUIDExit(t *testing.T) {
 func TestRunProgramDone(t *testing.T) {
 	c := testCore(1)
 	v := newVMCS("vmcs01", 1)
-	g := &loopGuest{acts: []Action{{Kind: ActCompute, Dur: 500}}}
-	e := c.RunGuest(0, v, g, &RunState{})
+	g := loopGuest(c, func(p *Port) { p.Compute(500) })
+	e := c.RunGuest(0, v, g)
 	if e.Reason != isa.ExitVMCall || e.Qualification != QualGuestDone {
 		t.Fatalf("exit = %v", e)
 	}
@@ -121,9 +111,9 @@ func TestRunProgramDone(t *testing.T) {
 func TestBaselineTransitionCosts(t *testing.T) {
 	c := testCore(1)
 	v := newVMCS("vmcs01", 1)
-	g := &loopGuest{acts: nil} // immediately done
+	g := loopGuest(c, func(*Port) {}) // immediately done
 	start := c.Eng.Now()
-	c.RunGuest(0, v, g, &RunState{})
+	c.RunGuest(0, v, g)
 	elapsed := c.Eng.Now() - start
 	// One entry leg + one exit leg + the instr base of nothing.
 	want := c.Costs.EntryLeg() + c.Costs.ExitLeg()
@@ -140,8 +130,9 @@ func TestBaselineRegisterSwap(t *testing.T) {
 	v := newVMCS("vmcs01", 1)
 	v.GPRs[isa.RAX] = 42      // guest's saved RAX
 	c.WriteGPR(0, isa.RAX, 7) // host value
-	g := &loopGuest{acts: []Action{{Kind: ActInstr, Instr: isa.CPUID(0)}}}
-	c.RunGuest(0, v, g, &RunState{})
+	g := loopGuest(c, func(p *Port) { p.Exec(isa.CPUID(0)) })
+	defer g.Kill()
+	c.RunGuest(0, v, g)
 	// After the exit, the guest's RAX must be saved in the VMCS area and
 	// the host's RAX restored.
 	if v.GPRs[isa.RAX] != 42 {
@@ -160,9 +151,10 @@ func TestSVtTransitionsStallResume(t *testing.T) {
 	v.Write(vmcs.SVtVM, 1)
 	c.VMPtrLoad(0, v)
 	c.WriteGPR(1, isa.RAX, 99) // resident guest register
-	g := &loopGuest{acts: []Action{{Kind: ActInstr, Instr: isa.CPUID(0)}}}
+	g := NewNativeGuest("g", c, 1, func(p *Port) { p.Exec(isa.CPUID(0)) })
+	defer g.Kill()
 	start := c.Eng.Now()
-	e := c.RunGuest(1, v, g, &RunState{})
+	e := c.RunGuest(1, v, g)
 	if e.Reason != isa.ExitCPUID {
 		t.Fatalf("exit = %v", e)
 	}
@@ -242,23 +234,26 @@ func TestExternalInterruptExit(t *testing.T) {
 	c.SetLAPIC(0, l)
 	v := newVMCS("vmcs01", 1)
 	eng.At(5000, func() { l.Deliver(apic.VecVirtioNet) })
-	g := &loopGuest{acts: []Action{{Kind: ActCompute, Dur: 50_000}}}
-	rs := &RunState{}
-	e := c.RunGuest(0, v, g, rs)
+	var doneAt sim.Time
+	g := loopGuest(c, func(p *Port) {
+		p.Compute(50_000)
+		doneAt = p.Now()
+	})
+	e := c.RunGuest(0, v, g)
 	if e.Reason != isa.ExitExternalInterrupt || e.Vector != apic.VecVirtioNet {
 		t.Fatalf("exit = %v", e)
 	}
-	if rs.ComputeLeft == 0 {
-		t.Fatal("interrupted compute must retain its remainder")
+	if g.Finished() || eng.Now() >= 50_000 {
+		t.Fatalf("the interrupt must cut the compute block short: now = %v", eng.Now())
 	}
-	// Resume: ack and run to completion.
+	// Resume: ack and run the rest of the block to completion.
 	l.Ack(apic.VecVirtioNet)
-	e = c.RunGuest(0, v, g, rs)
+	e = c.RunGuest(0, v, g)
 	if e.Reason != isa.ExitVMCall || e.Qualification != QualGuestDone {
 		t.Fatalf("final exit = %v", e)
 	}
-	if got := eng.Now(); got < 50_000 {
-		t.Fatalf("full compute must have run: now = %v", got)
+	if doneAt < 50_000 {
+		t.Fatalf("full compute must have run: block ended at %v", doneAt)
 	}
 }
 
@@ -269,8 +264,8 @@ func TestInterruptExitMasksWhenPinControlOff(t *testing.T) {
 	v := vmcs.New("vmcs01") // no ext-int exiting
 	v.Write(vmcs.ProcControls, vmcs.ProcCtlHLTExit)
 	l.Deliver(apic.VecVirtioNet)
-	g := &loopGuest{acts: []Action{{Kind: ActCompute, Dur: 100}}}
-	e := c.RunGuest(0, v, g, &RunState{})
+	g := loopGuest(c, func(p *Port) { p.Compute(100) })
+	e := c.RunGuest(0, v, g)
 	if e.Reason != isa.ExitVMCall {
 		t.Fatalf("guest must run to completion when ext-int exiting off, got %v", e)
 	}
@@ -280,10 +275,11 @@ func TestInjectionDelivery(t *testing.T) {
 	c := testCore(1)
 	v := newVMCS("vmcs01", 1)
 	v.Write(vmcs.EntryIntrInfo, InjectValid|uint64(apic.VecTimer))
-	g := &loopGuest{acts: nil}
-	c.RunGuest(0, v, g, &RunState{})
-	if len(g.irqs) != 1 || g.irqs[0] != apic.VecTimer {
-		t.Fatalf("injected irqs = %v", g.irqs)
+	g := loopGuest(c, func(*Port) {})
+	g.Port().VirtLAPIC = apic.New(1, c.Eng)
+	c.RunGuest(0, v, g)
+	if vec, ok := g.Port().VirtLAPIC.PendingVector(); !ok || vec != apic.VecTimer {
+		t.Fatalf("injected vector = %d/%v, want %d on the port's virtual LAPIC", vec, ok, apic.VecTimer)
 	}
 	if v.Read(vmcs.EntryIntrInfo) != 0 {
 		t.Fatal("entry info must be consumed")
@@ -296,8 +292,9 @@ func TestInjectionDelivery(t *testing.T) {
 func TestHLTExit(t *testing.T) {
 	c := testCore(1)
 	v := newVMCS("vmcs01", 1)
-	g := &loopGuest{acts: []Action{{Kind: ActHalt}}}
-	e := c.RunGuest(0, v, g, &RunState{})
+	g := loopGuest(c, func(p *Port) { p.ExecHLT() })
+	defer g.Kill()
+	e := c.RunGuest(0, v, g)
 	if e.Reason != isa.ExitHLT {
 		t.Fatalf("exit = %v", e)
 	}
@@ -317,13 +314,13 @@ func TestMMIOExitAndMappedAccess(t *testing.T) {
 	v.Write(vmcs.EPTPointer, 0xE000)
 
 	var rd uint64
-	g := &loopGuest{acts: []Action{
-		{Kind: ActInstr, Instr: isa.MMIOWrite(0x1008, 1234)}, // mapped RAM: no exit
-		{Kind: ActInstr, Instr: isa.MMIORead(0x1008), Dst: &rd},
-		{Kind: ActInstr, Instr: isa.MMIOWrite(0xFE000000, 1)}, // device: misconfig exit
-	}}
-	rs := &RunState{}
-	e := c.RunGuest(0, v, g, rs)
+	g := loopGuest(c, func(p *Port) {
+		p.Exec(isa.MMIOWrite(0x1008, 1234)) // mapped RAM: no exit
+		rd = p.Exec(isa.MMIORead(0x1008))
+		p.Exec(isa.MMIOWrite(0xFE000000, 1)) // device: misconfig exit
+	})
+	defer g.Kill()
+	e := c.RunGuest(0, v, g)
 	if e.Reason != isa.ExitEPTMisconfig || e.GuestPA != 0xFE000000 || e.Qualification != 9 {
 		t.Fatalf("exit = %v", e)
 	}
@@ -331,8 +328,9 @@ func TestMMIOExitAndMappedAccess(t *testing.T) {
 		t.Fatalf("mapped read = %d", rd)
 	}
 	// Unmapped -> violation.
-	g2 := &loopGuest{acts: []Action{{Kind: ActInstr, Instr: isa.MMIORead(0x999000)}}}
-	e = c.RunGuest(0, v, g2, &RunState{})
+	g2 := loopGuest(c, func(p *Port) { p.Exec(isa.MMIORead(0x999000)) })
+	defer g2.Kill()
+	e = c.RunGuest(0, v, g2)
 	if e.Reason != isa.ExitEPTViolation {
 		t.Fatalf("exit = %v", e)
 	}
@@ -343,12 +341,13 @@ func TestMSRBitmapExits(t *testing.T) {
 	v := newVMCS("vmcs01", 1)
 	v.SetMSRExit(isa.MSRTSCDeadline, true)
 	var got uint64
-	g := &loopGuest{acts: []Action{
-		{Kind: ActInstr, Instr: isa.WRMSR(isa.MSRFSBase, 0x7000)}, // not exiting
-		{Kind: ActInstr, Instr: isa.RDMSR(isa.MSRFSBase), Dst: &got},
-		{Kind: ActInstr, Instr: isa.WRMSR(isa.MSRTSCDeadline, 999)}, // exiting
-	}}
-	e := c.RunGuest(0, v, g, &RunState{})
+	g := loopGuest(c, func(p *Port) {
+		p.Exec(isa.WRMSR(isa.MSRFSBase, 0x7000)) // not exiting
+		got = p.Exec(isa.RDMSR(isa.MSRFSBase))
+		p.Exec(isa.WRMSR(isa.MSRTSCDeadline, 999)) // exiting
+	})
+	defer g.Kill()
+	e := c.RunGuest(0, v, g)
 	if e.Reason != isa.ExitMSRWrite || e.Qualification != uint64(isa.MSRTSCDeadline) || e.Value != 999 {
 		t.Fatalf("exit = %v", e)
 	}
@@ -366,12 +365,13 @@ func TestShadowedVMAccessNoExit(t *testing.T) {
 	v12.Write(vmcs.GuestRIP, 0x1234)
 
 	var rip uint64
-	g := &loopGuest{acts: []Action{
-		{Kind: ActInstr, Instr: isa.Instr{Op: isa.OpVMRead, Addr: uint64(vmcs.GuestRIP)}, Dst: &rip},
-		{Kind: ActInstr, Instr: isa.Instr{Op: isa.OpVMWrite, Addr: uint64(vmcs.GuestRSP), Val: 0x5678}},
-		{Kind: ActInstr, Instr: isa.Instr{Op: isa.OpVMRead, Addr: uint64(vmcs.EPTPointer)}}, // not shadowable: exit
-	}}
-	e := c.RunGuest(0, v01, g, &RunState{})
+	g := loopGuest(c, func(p *Port) {
+		rip = p.Exec(isa.Instr{Op: isa.OpVMRead, Addr: uint64(vmcs.GuestRIP)})
+		p.Exec(isa.Instr{Op: isa.OpVMWrite, Addr: uint64(vmcs.GuestRSP), Val: 0x5678})
+		p.Exec(isa.Instr{Op: isa.OpVMRead, Addr: uint64(vmcs.EPTPointer)}) // not shadowable: exit
+	})
+	defer g.Kill()
+	e := c.RunGuest(0, v01, g)
 	if e.Reason != isa.ExitVMRead || vmcs.Field(e.Qualification) != vmcs.EPTPointer {
 		t.Fatalf("exit = %v", e)
 	}
@@ -394,13 +394,13 @@ func TestNativeGuestSession(t *testing.T) {
 		p.Exec(isa.Instr{Op: isa.OpVMCall, Val: 0x77})
 	})
 	// First session: runs until the cpuid trap.
-	e := c.RunGuest(0, v, g, nil)
+	e := c.RunGuest(0, v, g)
 	if e.Reason != isa.ExitCPUID || e.Qualification != 7 {
 		t.Fatalf("first exit = %v", e)
 	}
 	// "Emulate": the hypervisor writes the result into the saved RAX.
 	v.GPRs[isa.RAX] = 0xFEED
-	e = c.RunGuest(0, v, g, nil)
+	e = c.RunGuest(0, v, g)
 	if e.Reason != isa.ExitVMCall || e.Qualification != 0x77 {
 		t.Fatalf("second exit = %v", e)
 	}
@@ -408,7 +408,7 @@ func TestNativeGuestSession(t *testing.T) {
 		t.Fatalf("guest observed %v", observed)
 	}
 	// Third session: body returns -> done exit.
-	e = c.RunGuest(0, v, g, nil)
+	e = c.RunGuest(0, v, g)
 	if e.Reason != isa.ExitVMCall || e.Qualification != QualGuestDone {
 		t.Fatalf("final exit = %v", e)
 	}
@@ -429,13 +429,13 @@ func TestNativeGuestVirtualIRQ(t *testing.T) {
 	g.Port().VirtLAPIC = apic.New(0, c.Eng)
 	g.Port().IRQHandler = func(vec int) { handled = append(handled, vec) }
 
-	e := c.RunGuest(0, v, g, nil)
+	e := c.RunGuest(0, v, g)
 	if e.Reason != isa.ExitCPUID {
 		t.Fatalf("exit = %v", e)
 	}
 	// Inject a vector like a hypervisor would.
 	v.Write(vmcs.EntryIntrInfo, InjectValid|uint64(apic.VecVirtioBlk))
-	e = c.RunGuest(0, v, g, nil)
+	e = c.RunGuest(0, v, g)
 	if e.Reason != isa.ExitVMCall {
 		t.Fatalf("exit = %v", e)
 	}
@@ -452,7 +452,7 @@ func TestNativeGuestKill(t *testing.T) {
 			p.Exec(isa.CPUID(0))
 		}
 	})
-	e := c.RunGuest(0, v, g, nil)
+	e := c.RunGuest(0, v, g)
 	if e.Reason != isa.ExitCPUID {
 		t.Fatalf("exit = %v", e)
 	}
@@ -473,12 +473,12 @@ func TestNativeGuestPhysicalIRQExit(t *testing.T) {
 		p.Exec(isa.Instr{Op: isa.OpVMCall, Val: 2})
 	})
 	l.Deliver(apic.VecTimer)
-	e := c.RunGuest(0, v, g, nil)
+	e := c.RunGuest(0, v, g)
 	if e.Reason != isa.ExitExternalInterrupt || e.Vector != apic.VecTimer {
 		t.Fatalf("exit = %v", e)
 	}
 	l.Ack(apic.VecTimer)
-	e = c.RunGuest(0, v, g, nil)
+	e = c.RunGuest(0, v, g)
 	if e.Reason != isa.ExitVMCall {
 		t.Fatalf("exit = %v", e)
 	}
@@ -495,12 +495,12 @@ func TestNativeGuestPanicReachesCaller(t *testing.T) {
 		p.Exec(isa.CPUID(0))
 		panic("guest bug")
 	})
-	if e := c.RunGuest(0, v, g, nil); e.Reason != isa.ExitCPUID {
+	if e := c.RunGuest(0, v, g); e.Reason != isa.ExitCPUID {
 		t.Fatalf("exit = %v", e)
 	}
 	got := func() (r any) {
 		defer func() { r = recover() }()
-		c.RunGuest(0, v, g, nil)
+		c.RunGuest(0, v, g)
 		return nil
 	}()
 	if got != "guest bug" {
@@ -540,7 +540,7 @@ func suspendedGuest(t *testing.T, c *Core) *NativeGuest {
 			p.Exec(isa.CPUID(0))
 		}
 	})
-	if e := c.RunGuest(1, newVMCS("vmcs01-svt", 1), b, nil); e.Reason != isa.ExitCPUID {
+	if e := c.RunGuest(1, newVMCS("vmcs01-svt", 1), b); e.Reason != isa.ExitCPUID {
 		t.Fatalf("exit = %v", e)
 	}
 	return b
@@ -553,7 +553,7 @@ func TestTrapOnSuspendedGuestsPortFailsClosed(t *testing.T) {
 	a := NewNativeGuest("l1-main", c, 0, func(p *Port) {
 		b.Port().Exec(isa.CPUID(1))
 	})
-	got := panicWithin(t, func() { c.RunGuest(0, newVMCS("vmcs01", 1), a, nil) })
+	got := panicWithin(t, func() { c.RunGuest(0, newVMCS("vmcs01", 1), a) })
 	if want := "cpu: l1-main trapped on l1-svt's port"; got != want {
 		t.Fatalf("panic = %v, want %q", got, want)
 	}
@@ -573,10 +573,10 @@ func TestResumeFinishedGuestFailsClosed(t *testing.T) {
 	c := testCore(1)
 	v := newVMCS("vmcs01", 1)
 	g := NewNativeGuest("l2", c, 0, func(p *Port) {})
-	if e := c.RunGuest(0, v, g, nil); e.Qualification != QualGuestDone {
+	if e := c.RunGuest(0, v, g); e.Qualification != QualGuestDone {
 		t.Fatalf("exit = %v", e)
 	}
-	got := panicWithin(t, func() { c.RunGuest(0, v, g, nil) })
+	got := panicWithin(t, func() { c.RunGuest(0, v, g) })
 	if want := "cpu: l2 resumed after it finished"; got != want {
 		t.Fatalf("panic = %v, want %q", got, want)
 	}

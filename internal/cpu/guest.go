@@ -16,45 +16,6 @@ import (
 	"svtsim/internal/vmcs"
 )
 
-// ActionKind discriminates guest program actions.
-type ActionKind uint8
-
-// Action kinds.
-const (
-	ActCompute ActionKind = iota // untrapped work for Dur
-	ActInstr                     // execute Instr (may trap)
-	ActHalt                      // idle until the next interrupt
-	ActDone                      // workload finished
-)
-
-// Action is the next architectural step a guest program takes.
-type Action struct {
-	Kind  ActionKind
-	Dur   sim.Time
-	Instr isa.Instr
-	// Dst, when non-nil on an ActInstr, receives the value the
-	// instruction produced (MMIO read data, RDMSR value, ...).
-	Dst *uint64
-}
-
-// Guest is anything that can receive injected interrupts.
-type Guest interface {
-	DeliverIRQ(vec int)
-}
-
-// ProgramGuest is a state-machine guest: the core pulls actions from it.
-// End-user VMs (L2 workloads) are program guests.
-type ProgramGuest interface {
-	Guest
-	Step() Action
-}
-
-// RunState carries execution state that survives VM exits, so an
-// interrupted compute block resumes where it stopped.
-type RunState struct {
-	ComputeLeft sim.Time
-}
-
 // physIRQExit builds the EXTERNAL_INTERRUPT exit if the context's
 // physical LAPIC has a pending vector and the VMCS asks for
 // external-interrupt exiting.
@@ -78,84 +39,39 @@ func (c *Core) physIRQExit(ctx ContextID, v *vmcs.VMCS) *isa.Exit {
 
 // RunGuest enters the guest on ctx under v and executes it until a VM
 // exit, which it returns. This is the hardware side of VMRESUME: the
-// paper's hypervisors sit in a loop of RunGuest + handle.
-func (c *Core) RunGuest(ctx ContextID, v *vmcs.VMCS, g Guest, rs *RunState) *isa.Exit {
-	if ng, ok := g.(*NativeGuest); ok {
-		return c.runNative(ctx, v, ng)
-	}
-	return c.runProgram(ctx, v, g.(ProgramGuest), rs)
-}
-
-func (c *Core) runProgram(ctx ContextID, v *vmcs.VMCS, g ProgramGuest, rs *RunState) *isa.Exit {
-	if rs == nil {
-		rs = &RunState{}
+// paper's hypervisors sit in a loop of RunGuest + handle. The guest's
+// body resumes where its previous exit suspended it; a body that
+// returns ends the session with the QualGuestDone exit.
+func (c *Core) RunGuest(ctx ContextID, v *vmcs.VMCS, g *NativeGuest) *isa.Exit {
+	if g.finished {
+		panic(fmt.Sprintf("cpu: %s resumed after it finished", g.Name))
 	}
 	c.enterGuest(ctx, v, g)
-	for {
-		c.Eng.DispatchDue()
-		if e := c.physIRQExit(ctx, v); e != nil {
-			return c.exitGuest(ctx, v, e)
-		}
-		if rs.ComputeLeft > 0 {
-			c.runCompute(rs)
-			continue
-		}
-		act := g.Step()
-		switch act.Kind {
-		case ActCompute:
-			rs.ComputeLeft = act.Dur
-		case ActHalt:
-			res := c.Exec(ctx, v, isa.HLT())
-			if res.Exit != nil {
-				return c.exitGuest(ctx, v, res.Exit)
-			}
-			// HLT without HLT-exiting: idle in place until something happens.
-			if !c.Eng.Step() {
-				return c.exitGuest(ctx, v, &isa.Exit{Reason: isa.ExitHLT})
-			}
-		case ActDone:
-			return c.exitGuest(ctx, v, &isa.Exit{Reason: isa.ExitVMCall, Qualification: QualGuestDone})
-		case ActInstr:
-			res := c.Exec(ctx, v, act.Instr)
-			if res.Exit != nil {
-				return c.exitGuest(ctx, v, res.Exit)
-			}
-			if act.Dst != nil {
-				*act.Dst = res.Value
-			}
-		}
+	g.port.VM = v
+	if g.next == nil {
+		g.next, g.stop = iter.Pull(g.run)
 	}
-}
-
-// runCompute advances an in-progress compute block, stopping at the next
-// pending event so interrupts get a chance to exit the guest.
-func (c *Core) runCompute(rs *RunState) {
-	for rs.ComputeLeft > 0 {
-		d := rs.ComputeLeft
-		if t, ok := c.Eng.NextEventTime(); ok {
-			if gap := t - c.Eng.Now(); gap < d {
-				d = gap
-			}
-		}
-		if d > 0 {
-			c.Eng.Advance(d)
-			rs.ComputeLeft -= d
-		}
-		if c.Eng.DispatchDue() > 0 {
-			return // let the caller re-check interrupt state
-		}
+	prev := c.running
+	c.running = g.port
+	defer func() { c.running = prev }()
+	e, ok := g.next()
+	if !ok {
+		e = &isa.Exit{Reason: isa.ExitVMCall, Qualification: QualGuestDone}
 	}
+	return c.exitGuest(ctx, v, e)
 }
 
 type killSentinel struct{}
 
-// NativeGuest runs real Go code — a guest hypervisor's handler logic — as
-// a coroutine of the simulation: the code performs architectural actions
+// NativeGuest is the one guest model: real Go code running as a
+// coroutine of the simulation. The code performs architectural actions
 // through its Port, and any trapping instruction suspends the body and
 // surfaces the VM exit to whoever executed VMRESUME, which resumes it
-// with the next VMRESUME. This is how the same hypervisor implementation
-// runs both as L0 (on the real platform) and as L1 (on a virtualized
-// platform whose privileged operations genuinely trap).
+// with the next VMRESUME. A guest hypervisor's handler logic runs this
+// way, which is how the same hypervisor implementation runs both as L0
+// (on the real platform) and as L1 (on a virtualized platform whose
+// privileged operations genuinely trap); so do the nested workloads,
+// down to the §6.1 cpuid loop.
 type NativeGuest struct {
 	Name string
 
@@ -186,11 +102,11 @@ func (g *NativeGuest) Port() *Port { return g.port }
 // Finished reports whether the guest body has returned.
 func (g *NativeGuest) Finished() bool { return g.finished }
 
-// DeliverIRQ delivers an injected vector to the guest's virtual LAPIC;
+// deliverIRQ delivers an injected vector to the guest's virtual LAPIC;
 // the guest's kernel handler runs at its next instruction boundary. The
 // vector comes from the VMCS entry-interruption field, so it bypasses
 // the fault plane: it already survived its interconnect hop.
-func (g *NativeGuest) DeliverIRQ(vec int) {
+func (g *NativeGuest) deliverIRQ(vec int) {
 	if g.port.VirtLAPIC != nil {
 		g.port.VirtLAPIC.DeliverDirect(vec)
 	}
@@ -215,25 +131,6 @@ func (g *NativeGuest) run(yield func(*isa.Exit) bool) {
 		}
 	}()
 	g.body(g.port)
-}
-
-func (c *Core) runNative(ctx ContextID, v *vmcs.VMCS, g *NativeGuest) *isa.Exit {
-	if g.finished {
-		panic(fmt.Sprintf("cpu: %s resumed after it finished", g.Name))
-	}
-	c.enterGuest(ctx, v, g)
-	g.port.VM = v
-	if g.next == nil {
-		g.next, g.stop = iter.Pull(g.run)
-	}
-	prev := c.running
-	c.running = g.port
-	defer func() { c.running = prev }()
-	e, ok := g.next()
-	if !ok {
-		e = &isa.Exit{Reason: isa.ExitVMCall, Qualification: QualGuestDone}
-	}
-	return c.exitGuest(ctx, v, e)
 }
 
 // Port is the architectural interface native guest code uses: execute
@@ -345,20 +242,6 @@ func (p *Port) ExecHLT() {
 	if res.Exit != nil {
 		p.trap(res.Exit)
 	}
-}
-
-// ExecRaw executes one instruction without the virtual-IRQ poll prologue.
-func (p *Port) ExecRaw(in isa.Instr) uint64 {
-	p.core.Eng.DispatchDue()
-	if e := p.core.physIRQExit(p.Ctx, p.VM); e != nil {
-		p.trap(e)
-	}
-	res := p.core.Exec(p.Ctx, p.VM, in)
-	if res.Exit != nil {
-		p.trap(res.Exit)
-		return p.core.ReadGPR(p.Ctx, isa.RAX)
-	}
-	return res.Value
 }
 
 // Exec executes one instruction on behalf of the native guest. Trapping

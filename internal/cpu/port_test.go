@@ -22,7 +22,7 @@ func TestPortComputeInterruptible(t *testing.T) {
 		p.Exec(isa.Instr{Op: isa.OpVMCall, Val: 1})
 	})
 	// First session: the compute block is interrupted by the timer.
-	e := c.RunGuest(0, v, g, nil)
+	e := c.RunGuest(0, v, g)
 	if e.Reason != isa.ExitExternalInterrupt {
 		t.Fatalf("exit = %v", e)
 	}
@@ -31,7 +31,7 @@ func TestPortComputeInterruptible(t *testing.T) {
 	}
 	l.Ack(apic.VecTimer)
 	// Resume: the remaining compute must finish in full.
-	e = c.RunGuest(0, v, g, nil)
+	e = c.RunGuest(0, v, g)
 	if e.Reason != isa.ExitVMCall {
 		t.Fatalf("exit = %v", e)
 	}
@@ -52,7 +52,7 @@ func TestPortComputeRunsVirtualHandlers(t *testing.T) {
 	g.Port().VirtLAPIC = apic.New(1, c.Eng)
 	g.Port().IRQHandler = func(vec int) { handled = append(handled, vec) }
 	c.Eng.At(3_000, func() { g.Port().VirtLAPIC.Deliver(7) })
-	e := c.RunGuest(0, v, g, nil)
+	e := c.RunGuest(0, v, g)
 	if e.Reason != isa.ExitVMCall {
 		t.Fatalf("exit = %v", e)
 	}
@@ -71,7 +71,7 @@ func TestExecHLTSkipsWhenPending(t *testing.T) {
 		p.Exec(isa.Instr{Op: isa.OpVMCall, Val: 2})
 	})
 	g.Port().VirtLAPIC = apic.New(1, c.Eng)
-	e := c.RunGuest(0, v, g, nil)
+	e := c.RunGuest(0, v, g)
 	if e.Reason != isa.ExitVMCall || e.Qualification != 2 {
 		t.Fatalf("exit = %v — the HLT must have completed immediately", e)
 	}
@@ -87,14 +87,14 @@ func TestParkIsFree(t *testing.T) {
 		}
 	})
 	// Enter once (pays the entry leg), then park/resume cycles are free.
-	e := c.RunGuest(0, v, g, nil)
+	e := c.RunGuest(0, v, g)
 	if e.Reason != isa.ExitVMCall || e.Qualification != QualSVtIdle {
 		t.Fatalf("exit = %v", e)
 	}
 	before := c.Eng.Now()
 	exits := c.Stats.ExitsByReason
 	for i := 0; i < 10; i++ {
-		e = c.RunGuest(0, v, g, nil)
+		e = c.RunGuest(0, v, g)
 		if e.Qualification != QualSVtIdle {
 			t.Fatalf("exit = %v", e)
 		}

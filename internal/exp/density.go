@@ -224,7 +224,7 @@ func (s *Session) runDensityVM(mode hv.Mode, i int, place swsvt.Placement) vmRun
 		n := 300 + 25*(i%4)
 		m := machine.NewNested(cfg)
 		m.Eng.SetLedger(led)
-		m.SetL2Workload(&cpuidLoop{n: n})
+		m.SetL2Workload(cpuidLoop(n, 0))
 		finish(m)
 		r.latUs = []float64{float64(r.total) / float64(n) / 1000}
 		r.ops = float64(n)

@@ -25,20 +25,19 @@ func AllModes() []hv.Mode {
 	return []hv.Mode{hv.ModeBaseline, hv.ModeSWSVt, hv.ModeHWSVt}
 }
 
-// cpuidLoop is the §6.1 micro-benchmark program (used at every
-// virtualization level).
-type cpuidLoop struct {
-	n, i int
-}
-
-func (g *cpuidLoop) Step() cpu.Action {
-	if g.i >= g.n {
-		return cpu.Action{Kind: cpu.ActDone}
+// cpuidLoop is the §6.1 micro-benchmark body: n cpuid instructions,
+// each after compute of surrounding work (the channel study's "dependent
+// register increments that simulate a variable workload"; 0 elsewhere).
+func cpuidLoop(n int, compute sim.Time) func(*cpu.Port) {
+	return func(p *cpu.Port) {
+		for j := 0; j < n; j++ {
+			if compute > 0 {
+				p.Compute(compute)
+			}
+			p.Exec(isa.CPUID(1))
+		}
 	}
-	g.i++
-	return cpu.Action{Kind: cpu.ActInstr, Instr: isa.CPUID(1)}
 }
-func (g *cpuidLoop) DeliverIRQ(int) {}
 
 // CPUIDResult is one Figure 6 bar.
 type CPUIDResult struct {
@@ -47,17 +46,17 @@ type CPUIDResult struct {
 	Breakdown *sim.Ledger // Table 1 stages (nested runs only)
 }
 
-// CPUIDNative measures the Figure 6 "L0" bar.
+// CPUIDNative measures the Figure 6 "L0" bar. With no virtualization
+// nothing traps, so every iteration costs exactly the native cpuid
+// latency.
 func (s *Session) CPUIDNative(n int) CPUIDResult {
-	costs := s.config(hv.ModeBaseline).Costs
-	total := machine.RunNative(&costs, &cpuidLoop{n: n})
-	return CPUIDResult{Label: "L0", PerOp: total / sim.Time(n)}
+	return CPUIDResult{Label: "L0", PerOp: s.config(hv.ModeBaseline).Costs.InstrCPUID}
 }
 
 // CPUIDSingleLevel measures the Figure 6 "L1" bar.
 func (s *Session) CPUIDSingleLevel(n int) CPUIDResult {
 	m := machine.NewSingleLevel(s.config(hv.ModeBaseline))
-	m.SetGuestWorkload(&cpuidLoop{n: n})
+	m.SetGuestWorkload(cpuidLoop(n, 0))
 	s.runSingle(m)
 	return CPUIDResult{Label: "L1", PerOp: m.Now() / sim.Time(n)}
 }
@@ -68,7 +67,7 @@ func (s *Session) CPUIDNested(mode hv.Mode, n int) CPUIDResult {
 	m := machine.NewNested(s.config(mode))
 	led := &sim.Ledger{}
 	m.Eng.SetLedger(led)
-	m.SetL2Workload(&cpuidLoop{n: n})
+	m.SetL2Workload(cpuidLoop(n, 0))
 	s.run(m)
 	m.Shutdown()
 	label := "L2"
@@ -87,7 +86,7 @@ func (s *Session) CPUIDNestedNoShadowing(n int) CPUIDResult {
 	cfg := s.config(hv.ModeBaseline)
 	cfg.DisableVMCSShadowing = true
 	m := machine.NewNested(cfg)
-	m.SetL2Workload(&cpuidLoop{n: n})
+	m.SetL2Workload(cpuidLoop(n, 0))
 	s.run(m)
 	m.Shutdown()
 	return CPUIDResult{Label: "L2 (no shadowing)", PerOp: m.Now() / sim.Time(n)}
@@ -99,7 +98,7 @@ func (s *Session) CPUIDNestedWithThunkRegs(mode hv.Mode, regs, n int) CPUIDResul
 	cfg := s.config(mode)
 	cfg.Costs.ThunkRegs = regs
 	m := machine.NewNested(cfg)
-	m.SetL2Workload(&cpuidLoop{n: n})
+	m.SetL2Workload(cpuidLoop(n, 0))
 	s.run(m)
 	m.Shutdown()
 	return CPUIDResult{Label: "thunk-sweep", PerOp: m.Now() / sim.Time(n)}

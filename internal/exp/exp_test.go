@@ -209,7 +209,7 @@ func TestGuestPanicIsContained(t *testing.T) {
 		panic("l1 device bug")
 	}
 	m := machine.NewNested(cfg)
-	m.SetL2Workload(&cpuidLoop{n: 10})
+	m.SetL2Workload(cpuidLoop(10, 0))
 	got := func() (r any) {
 		defer func() { r = recover() }()
 		sess.run(m)

@@ -73,7 +73,7 @@ func (s *Session) FaultSweep(mode hv.Mode, spec *fault.Spec, n int, mutate func(
 	if mutate != nil {
 		mutate(m)
 	}
-	m.SetL2Workload(&cpuidLoop{n: n})
+	m.SetL2Workload(cpuidLoop(n, 0))
 	s.run(m)
 	m.Shutdown()
 

@@ -106,7 +106,7 @@ func TestObsExitSpansMatchProfiles(t *testing.T) {
 		sess := NewSession()
 		sess.SetObs(&obs.Options{})
 		m := machine.NewNested(sess.config(mode))
-		m.SetL2Workload(&cpuidLoop{n: 100})
+		m.SetL2Workload(cpuidLoop(100, 0))
 		sess.run(m)
 		m.Shutdown()
 

@@ -116,15 +116,15 @@ func TestEnvExecTrapsOnCallingVCPU(t *testing.T) {
 		return v
 	}
 
-	if e := c.RunGuest(1, vm("vmcs01-svt"), svt, nil); e.Reason != isa.ExitCPUID {
+	if e := c.RunGuest(1, vm("vmcs01-svt"), svt); e.Reason != isa.ExitCPUID {
 		t.Fatalf("exit = %v", e)
 	}
-	if e := c.RunGuest(0, vm("vmcs01"), l1main, nil); e.Reason != isa.ExitCPUID || e.Qualification != 7 {
+	if e := c.RunGuest(0, vm("vmcs01"), l1main); e.Reason != isa.ExitCPUID || e.Qualification != 7 {
 		t.Fatalf("L1-main's driver call: exit = %v, want its own CPUID trap", e)
 	}
 	got := func() (r any) {
 		defer func() { r = recover() }()
-		c.RunGuest(2, vm("vmcs02"), l2, nil)
+		c.RunGuest(2, vm("vmcs02"), l2)
 		return nil
 	}()
 	if want := "cpu: L2 trapped on L1-svt's port"; got != want {

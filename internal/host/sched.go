@@ -163,15 +163,6 @@ func (s *Scheduler) placePair() (main, helper CtxID) {
 	return main, helper
 }
 
-// Release returns a VM's contexts to the pool.
-func (s *Scheduler) Release(a Assignment) {
-	for _, c := range a.Ctxs {
-		if s.load[c] > 0 {
-			s.load[c]--
-		}
-	}
-}
-
 // Loads returns the per-context resident-thread counts (live slice;
 // callers must not mutate).
 func (s *Scheduler) Loads() []int { return s.load }

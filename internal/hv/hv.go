@@ -110,8 +110,7 @@ type VCPU struct {
 	// VMCSAddr is the guest-physical address the owning (guest) hypervisor
 	// believes its VMCS lives at; VMPTRLD traps carry it.
 	VMCSAddr uint64
-	Guest    cpu.Guest
-	RunState *cpu.RunState
+	Guest    *cpu.NativeGuest
 	// Lvl is the ctxtld/ctxtst level argument for reaching this guest's
 	// registers (1 = direct guest, 2 = nested guest).
 	Lvl int
@@ -145,13 +144,12 @@ func (vc *VCPU) MSRSnapshot() map[uint32]uint64 {
 }
 
 // NewVCPU builds a vCPU record.
-func NewVCPU(name string, ctx cpu.ContextID, v *vmcs.VMCS, g cpu.Guest, lvl int) *VCPU {
+func NewVCPU(name string, ctx cpu.ContextID, v *vmcs.VMCS, g *cpu.NativeGuest, lvl int) *VCPU {
 	return &VCPU{
 		Name:     name,
 		Ctx:      ctx,
 		VMCS:     v,
 		Guest:    g,
-		RunState: &cpu.RunState{},
 		Lvl:      lvl,
 		msrStore: make(map[uint32]uint64),
 	}

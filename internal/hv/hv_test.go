@@ -30,22 +30,21 @@ func guestVMCS() *vmcs.VMCS {
 	return v
 }
 
-// scriptGuest runs a fixed action list.
+// scriptGuest is a native guest on context 0 running a test body.
+// Vectors the hypervisor injects land on its port's virtual LAPIC, and
+// irqs records each one its kernel handler ran.
 type scriptGuest struct {
-	acts []cpu.Action
-	i    int
+	*cpu.NativeGuest
 	irqs []int
 }
 
-func (g *scriptGuest) Step() cpu.Action {
-	if g.i >= len(g.acts) {
-		return cpu.Action{Kind: cpu.ActDone}
-	}
-	a := g.acts[g.i]
-	g.i++
-	return a
+func newScriptGuest(c *cpu.Core, body func(*cpu.Port)) *scriptGuest {
+	g := &scriptGuest{NativeGuest: cpu.NewNativeGuest("g", c, 0, body)}
+	p := g.Port()
+	p.VirtLAPIC = apic.New(2, c.Eng)
+	p.IRQHandler = func(vec int) { g.irqs = append(g.irqs, vec) }
+	return g
 }
-func (g *scriptGuest) DeliverIRQ(vec int) { g.irqs = append(g.irqs, vec) }
 
 func TestModeStrings(t *testing.T) {
 	if ModeBaseline.String() != "baseline" || ModeSWSVt.String() != "sw-svt" || ModeHWSVt.String() != "hw-svt" {
@@ -57,9 +56,9 @@ func TestModeStrings(t *testing.T) {
 }
 
 func TestCPUIDEmulationResultInRAX(t *testing.T) {
-	h, _, _ := testStack()
-	g := &scriptGuest{acts: []cpu.Action{{Kind: cpu.ActInstr, Instr: isa.CPUID(5)}}}
-	vc := NewVCPU("g", 0, guestVMCS(), g, 1)
+	h, c, _ := testStack()
+	g := newScriptGuest(c, func(p *cpu.Port) { p.Exec(isa.CPUID(5)) })
+	vc := NewVCPU("g", 0, guestVMCS(), g.NativeGuest, 1)
 	vc.VMCS.GPRs[isa.RAX] = 5 // the leaf the guest requested
 	h.RunLoop(vc)
 	if !h.Stopped {
@@ -77,18 +76,17 @@ func TestCPUIDEmulationResultInRAX(t *testing.T) {
 }
 
 func TestMSRStoreRoundTrip(t *testing.T) {
-	h, _, _ := testStack()
+	h, c, _ := testStack()
 	var readBack uint64
-	g := &scriptGuest{acts: []cpu.Action{
-		{Kind: cpu.ActInstr, Instr: isa.WRMSR(isa.MSRSpecCtrl, 0x42)},
-		{Kind: cpu.ActInstr, Instr: isa.RDMSR(isa.MSRSpecCtrl)},
-	}}
-	vc := NewVCPU("g", 0, guestVMCS(), g, 1)
+	g := newScriptGuest(c, func(p *cpu.Port) {
+		p.Exec(isa.WRMSR(isa.MSRSpecCtrl, 0x42))
+		readBack = p.Exec(isa.RDMSR(isa.MSRSpecCtrl))
+	})
+	vc := NewVCPU("g", 0, guestVMCS(), g.NativeGuest, 1)
 	// Without a configured bitmap entry both accesses exit... the VMCS has
 	// UseMSRBitmap, so mark this MSR as exiting.
 	vc.VMCS.SetMSRExit(isa.MSRSpecCtrl, true)
 	h.RunLoop(vc)
-	readBack = vc.VMCS.GPRs[isa.RAX]
 	if readBack != 0x42 {
 		t.Fatalf("MSR read-back = %#x, want 0x42", readBack)
 	}
@@ -99,33 +97,30 @@ func TestMSRStoreRoundTrip(t *testing.T) {
 
 func TestTimerVirtualization(t *testing.T) {
 	h, c, eng := testStack()
-	fired := []int{}
-	g := &scriptGuest{acts: []cpu.Action{
-		{Kind: cpu.ActInstr, Instr: isa.WRMSR(isa.MSRTSCDeadline, 5000)},
-		{Kind: cpu.ActCompute, Dur: 20_000},
-	}}
-	vc := NewVCPU("g", 0, guestVMCS(), g, 1)
+	g := newScriptGuest(c, func(p *cpu.Port) {
+		p.Exec(isa.WRMSR(isa.MSRTSCDeadline, 5000))
+		p.Compute(20_000)
+	})
+	vc := NewVCPU("g", 0, guestVMCS(), g.NativeGuest, 1)
 	vc.VMCS.SetMSRExit(isa.MSRTSCDeadline, true)
 	vc.VirtLAPIC = apic.New(1, eng)
 	h.RunLoop(vc)
-	fired = g.irqs
-	if len(fired) != 1 || fired[0] != apic.VecTimer {
-		t.Fatalf("guest timer irqs = %v", fired)
+	if len(g.irqs) != 1 || g.irqs[0] != apic.VecTimer {
+		t.Fatalf("guest timer irqs = %v", g.irqs)
 	}
 	if eng.Now() < 20_000 {
 		t.Fatal("compute must have completed")
 	}
-	_ = c
 }
 
 func TestHLTWakesOnInterrupt(t *testing.T) {
-	h, _, eng := testStack()
-	g := &scriptGuest{acts: []cpu.Action{
-		{Kind: cpu.ActInstr, Instr: isa.WRMSR(isa.MSRTSCDeadline, 3000)},
-		{Kind: cpu.ActHalt},
-		{Kind: cpu.ActCompute, Dur: 10},
-	}}
-	vc := NewVCPU("g", 0, guestVMCS(), g, 1)
+	h, c, eng := testStack()
+	g := newScriptGuest(c, func(p *cpu.Port) {
+		p.Exec(isa.WRMSR(isa.MSRTSCDeadline, 3000))
+		p.ExecHLT()
+		p.Compute(10)
+	})
+	vc := NewVCPU("g", 0, guestVMCS(), g.NativeGuest, 1)
 	vc.VMCS.SetMSRExit(isa.MSRTSCDeadline, true)
 	vc.VirtLAPIC = apic.New(1, eng)
 	h.RunLoop(vc)
@@ -141,9 +136,10 @@ func TestHLTWakesOnInterrupt(t *testing.T) {
 }
 
 func TestDeadlockDetection(t *testing.T) {
-	h, _, _ := testStack()
-	g := &scriptGuest{acts: []cpu.Action{{Kind: cpu.ActHalt}}}
-	vc := NewVCPU("g", 0, guestVMCS(), g, 1)
+	h, c, _ := testStack()
+	g := newScriptGuest(c, func(p *cpu.Port) { p.ExecHLT() })
+	defer g.Kill()
+	vc := NewVCPU("g", 0, guestVMCS(), g.NativeGuest, 1)
 	h.RunLoop(vc)
 	if !h.DeadlockDetected {
 		t.Fatal("halting with no pending events must be detected")
@@ -224,14 +220,14 @@ func TestMaybeInjectOnlyOnce(t *testing.T) {
 }
 
 func TestTraceRecordsExits(t *testing.T) {
-	h, _, _ := testStack()
+	h, c, _ := testStack()
 	tr := obs.NewTracer(2, 4)
 	h.SetObs(tr)
-	g := &scriptGuest{acts: []cpu.Action{
-		{Kind: cpu.ActInstr, Instr: isa.CPUID(1)},
-		{Kind: cpu.ActInstr, Instr: isa.CPUID(2)},
-	}}
-	vc := NewVCPU("g", 0, guestVMCS(), g, 1)
+	g := newScriptGuest(c, func(p *cpu.Port) {
+		p.Exec(isa.CPUID(1))
+		p.Exec(isa.CPUID(2))
+	})
+	vc := NewVCPU("g", 0, guestVMCS(), g.NativeGuest, 1)
 	h.RunLoop(vc)
 	if tr.Total() < 3 { // 2 cpuids + the done vmcall
 		t.Fatalf("tracer recorded %d exits", tr.Total())

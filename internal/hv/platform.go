@@ -108,7 +108,7 @@ func (p *RealPlatform) Run(vc *VCPU) *isa.Exit {
 	} else if p.Core.LoadedVMCS(vc.Ctx) != vc.VMCS {
 		p.Core.VMPtrLoad(vc.Ctx, vc.VMCS)
 	}
-	return p.Core.RunGuest(vc.Ctx, vc.VMCS, vc.Guest, vc.RunState)
+	return p.Core.RunGuest(vc.Ctx, vc.VMCS, vc.Guest)
 }
 
 // VMRead implements Platform (direct field access plus its cost).

@@ -11,14 +11,12 @@ import (
 // The hypervisor records each handled exit as an obs span on the vCPU's
 // hardware-context track, with its virtualization level.
 func TestTraceExitEmitsToObs(t *testing.T) {
-	h, _, _ := testStack()
+	h, c, _ := testStack()
 	ot := obs.NewTracer(2, 16)
 	h.SetObs(ot)
 
-	g := &scriptGuest{acts: []cpu.Action{
-		{Kind: cpu.ActInstr, Instr: isa.CPUID(1)},
-	}}
-	vc := NewVCPU("g", 0, guestVMCS(), g, 1)
+	g := newScriptGuest(c, func(p *cpu.Port) { p.Exec(isa.CPUID(1)) })
+	vc := NewVCPU("g", 0, guestVMCS(), g.NativeGuest, 1)
 	h.RunLoop(vc)
 
 	if ot.Total() == 0 {

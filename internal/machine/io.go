@@ -220,13 +220,14 @@ func WireNestedIO(cfg *Config, p IOParams) *IOStack {
 // L2Body is an L2 workload: plain Go code over the guest environment.
 type L2Body func(env *guest.Env)
 
-// InstallL2 wraps body as the nested VM's native guest, with a guest
-// environment over L2's memory, virtio drivers, a timer, and kernel
-// interrupt dispatch (including the trapped x2APIC EOI after every
+// InstallL2 installs body as the nested VM's workload through
+// SetL2Workload, wrapped in a guest kernel: an environment over L2's
+// memory, virtio drivers, a timer, a virtual LAPIC and kernel interrupt
+// dispatch (including the trapped x2APIC EOI after every
 // handled vector, which L1's hypervisor traps — one of the reflected
 // exits on every nested interrupt path).
 func (m *Machine) InstallL2(io *IOStack, withNet, withBlk bool, body L2Body) {
-	l2guest := cpu.NewNativeGuest("L2", m.Core, m.Ns.L2VCPU.Ctx, func(p *cpu.Port) {
+	m.SetL2Workload(func(p *cpu.Port) {
 		env := guest.NewEnv(p, l2View{m}, l2ArenaBase, l2ArenaSize)
 		io.L2Env = env
 		guest.NewTimerDriver(env, ports.VecTimer)
@@ -253,7 +254,5 @@ func (m *Machine) InstallL2(io *IOStack, withNet, withBlk bool, body L2Body) {
 		l2lapic.SetObs(m.Obs.Tracer, int(m.Ns.L2VCPU.Ctx), "L2.apic")
 		l2lapic.Metrics(m.Obs.Metrics, "apic.l2")
 	}
-	l2guest.Port().VirtLAPIC = l2lapic
-	m.Ns.L2VCPU.Guest = l2guest
-	m.l2NativeGuest = l2guest
+	m.l2Guest.Port().VirtLAPIC = l2lapic
 }

@@ -3,7 +3,9 @@ package machine
 import (
 	"runtime"
 	"testing"
+	"time"
 
+	"svtsim/internal/cpu"
 	"svtsim/internal/guest"
 	"svtsim/internal/hv"
 	"svtsim/internal/isa"
@@ -64,13 +66,31 @@ func TestNestedNetRR(t *testing.T) {
 	}
 }
 
+// settledGoroutines reports runtime.NumGoroutine once it has held for
+// 10 consecutive 1ms samples (at most 1s). The goroutine of the test that
+// ran before may still be exiting when the next one starts; on a loaded
+// host a single read would count it, and the leak checks below would
+// compare against that inflated number.
+func settledGoroutines() int {
+	n, same := runtime.NumGoroutine(), 0
+	for deadline := time.Now().Add(time.Second); same < 10 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m == n {
+			same++
+		} else {
+			n, same = m, 0
+		}
+	}
+	return n
+}
+
 // Run + Shutdown of a nested machine with I/O leaves no goroutine
 // behind: every native guest (L1-main, the SVt-thread, L2) is unwound,
 // including the ones suspended mid-trap when the workload finished.
 func TestShutdownLeavesNoGoroutines(t *testing.T) {
 	for _, mode := range []hv.Mode{hv.ModeBaseline, hv.ModeSWSVt, hv.ModeHWSVt} {
 		t.Run(mode.String(), func(t *testing.T) {
-			before := runtime.NumGoroutine()
+			before := settledGoroutines()
 			cfg := DefaultConfig(mode)
 			io := WireNestedIO(&cfg, DefaultIOParams())
 			m := NewNested(cfg)
@@ -90,9 +110,31 @@ func TestShutdownLeavesNoGoroutines(t *testing.T) {
 			if len(w.Lat) != w.N {
 				t.Fatalf("completed %d/%d transactions", len(w.Lat), w.N)
 			}
-			if after := runtime.NumGoroutine(); after != before {
+			if after := settledGoroutines(); after != before {
 				t.Fatalf("%d goroutines before building, %d after Shutdown", before, after)
 			}
 		})
+	}
+}
+
+// A single-level guest left suspended (here halted with nothing to wake
+// it, so L0 stops on deadlock) is unwound by Shutdown too.
+func TestShutdownUnwindsSingleLevelGuest(t *testing.T) {
+	before := settledGoroutines()
+	m := NewSingleLevel(DefaultConfig(hv.ModeBaseline))
+	m.SetGuestWorkload(func(p *cpu.Port) {
+		p.Exec(isa.CPUID(1))
+		p.ExecHLT()
+	})
+	m.RunSingle()
+	if !m.L0.DeadlockDetected || m.VcpuGuest.Guest.Finished() {
+		t.Fatal("the halted guest must be left suspended")
+	}
+	m.Shutdown()
+	if !m.VcpuGuest.Guest.Finished() {
+		t.Fatal("Shutdown must unwind the suspended guest")
+	}
+	if after := settledGoroutines(); after != before {
+		t.Fatalf("%d goroutines before building, %d after Shutdown", before, after)
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"svtsim/internal/ept"
 	"svtsim/internal/fault"
 	"svtsim/internal/hv"
-	"svtsim/internal/isa"
 	"svtsim/internal/mem"
 	"svtsim/internal/obs"
 	"svtsim/internal/ports"
@@ -90,12 +89,6 @@ type Config struct {
 	// accesses the hardware absorbs.
 	DisableVMCSShadowing bool
 
-	// HostCoreID/HostSocketID give this machine's core its identity on
-	// a fleet-scale host (see internal/host): the core reports them in
-	// diagnostics. Both zero for standalone runs.
-	HostCoreID   int
-	HostSocketID int
-
 	// Faults optionally arms the deterministic fault-injection plane.
 	// Nil (or a spec with no sites) registers no injector: the run is
 	// bit-identical to a build without the plane.
@@ -160,9 +153,9 @@ type Machine struct {
 	// Single-level guest (Figure 6's "L1" bar).
 	VcpuGuest *hv.VCPU
 
-	eptByVal      map[uint64]*ept.Table
-	nctx          int
-	l2NativeGuest *cpu.NativeGuest
+	eptByVal map[uint64]*ept.Table
+	nctx     int
+	l2Guest  *cpu.NativeGuest
 }
 
 func contextsFor(mode hv.Mode) int {
@@ -192,8 +185,6 @@ func newBase(cfg Config, nctx int) *Machine {
 	m.HostMem = mem.New(HostMemSize)
 	m.HostAlloc = mem.NewAllocator(HostMemSize)
 	m.Core = cpu.New(m.Eng, &m.Cfg.Costs, nctx, m.HostMem)
-	m.Core.ID = cfg.HostCoreID
-	m.Core.Socket = cfg.HostSocketID
 	for i := 0; i < nctx; i++ {
 		l := cfg.Port.NewIRQ(i, m.Eng)
 		m.Core.SetLAPIC(cpu.ContextID(i), l)
@@ -466,9 +457,12 @@ func (m *Machine) l1Body(p *cpu.Port) {
 	h1.RunLoop(m.VC12)
 }
 
-// SetL2Workload installs the nested VM's workload program.
-func (m *Machine) SetL2Workload(w cpu.ProgramGuest) {
-	m.Ns.L2VCPU.Guest = w
+// SetL2Workload installs body as the nested VM's workload: a bare
+// native guest with no guest environment, virtual LAPIC or interrupt
+// handler. InstallL2 builds the full guest kernel on top of it.
+func (m *Machine) SetL2Workload(body func(*cpu.Port)) {
+	m.l2Guest = cpu.NewNativeGuest("L2", m.Core, m.Ns.L2VCPU.Ctx, body)
+	m.Ns.L2VCPU.Guest = m.l2Guest
 }
 
 // Run executes the machine until the L2 workload reports done (or the
@@ -491,8 +485,11 @@ func (m *Machine) Shutdown() {
 	if m.SVtGuest != nil {
 		m.SVtGuest.Kill()
 	}
-	if m.l2NativeGuest != nil {
-		m.l2NativeGuest.Kill()
+	if m.l2Guest != nil {
+		m.l2Guest.Kill()
+	}
+	if m.VcpuGuest != nil && m.VcpuGuest.Guest != nil {
+		m.VcpuGuest.Guest.Kill()
 	}
 }
 
@@ -500,14 +497,14 @@ func (m *Machine) Shutdown() {
 func (m *Machine) Now() sim.Time { return m.Eng.Now() }
 
 // L2LAPIC returns the nested guest's virtual interrupt controller, nil
-// before InstallL2 has run. Snapshot capture reaches it through this
-// accessor: the controller hangs off the native guest's port, which the
-// machine otherwise keeps private.
+// before InstallL2 has run and for a bare SetL2Workload body. Snapshot
+// capture reaches it through this accessor: the controller hangs off the
+// native guest's port, which the machine otherwise keeps private.
 func (m *Machine) L2LAPIC() ports.IRQController {
-	if m.l2NativeGuest == nil {
+	if m.l2Guest == nil {
 		return nil
 	}
-	return m.l2NativeGuest.Port().VirtLAPIC
+	return m.l2Guest.Port().VirtLAPIC
 }
 
 // NewSingleLevel assembles an L0 + single guest machine (the paper's
@@ -536,42 +533,14 @@ func NewSingleLevel(cfg Config) *Machine {
 	return m
 }
 
-// SetGuestWorkload installs the single-level guest workload.
-func (m *Machine) SetGuestWorkload(w cpu.ProgramGuest) { m.VcpuGuest.Guest = w }
+// SetGuestWorkload installs body as the single-level guest's workload,
+// a bare native guest like SetL2Workload's.
+func (m *Machine) SetGuestWorkload(body func(*cpu.Port)) {
+	m.VcpuGuest.Guest = cpu.NewNativeGuest("L1", m.Core, m.VcpuGuest.Ctx, body)
+}
 
 // RunSingle executes the single-level machine to completion.
 func (m *Machine) RunSingle() *hv.Profile {
 	m.L0.RunLoop(m.VcpuGuest)
 	return &m.L0.Prof
-}
-
-// RunNative executes a workload with no virtualization at all (the
-// Figure 6 "L0" bar): instructions cost their native latency and nothing
-// traps.
-func RunNative(costs *cost.Model, w cpu.ProgramGuest) sim.Time {
-	eng := sim.New()
-	for {
-		act := w.Step()
-		switch act.Kind {
-		case cpu.ActDone:
-			return eng.Now()
-		case cpu.ActCompute:
-			eng.Advance(act.Dur)
-		case cpu.ActHalt:
-			if !eng.Step() {
-				return eng.Now()
-			}
-		case cpu.ActInstr:
-			switch act.Instr.Op {
-			case isa.OpCPUID:
-				eng.Advance(costs.InstrCPUID)
-			case isa.OpRDMSR, isa.OpWRMSR:
-				eng.Advance(costs.InstrMSR)
-			case isa.OpMMIORead, isa.OpMMIOWrite:
-				eng.Advance(costs.InstrMMIO)
-			default:
-				eng.Advance(costs.InstrBase)
-			}
-		}
-	}
 }

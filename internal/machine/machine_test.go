@@ -10,28 +10,15 @@ import (
 	"svtsim/internal/sim"
 )
 
-// cpuidLoop is the §6.1 micro-benchmark: a loop of cpuid instructions
-// (with an optional surrounding compute block).
-type cpuidLoop struct {
-	n       int
-	i       int
-	compute sim.Time
+// cpuidLoop is the §6.1 micro-benchmark body: a loop of n cpuid
+// instructions.
+func cpuidLoop(n int) func(*cpu.Port) {
+	return func(p *cpu.Port) {
+		for j := 0; j < n; j++ {
+			p.Exec(isa.CPUID(1))
+		}
+	}
 }
-
-func (g *cpuidLoop) Step() cpu.Action {
-	if g.i >= 2*g.n {
-		return cpu.Action{Kind: cpu.ActDone}
-	}
-	g.i++
-	if g.i%2 == 1 && g.compute > 0 {
-		return cpu.Action{Kind: cpu.ActCompute, Dur: g.compute}
-	}
-	if g.i%2 == 1 {
-		g.i++
-	}
-	return cpu.Action{Kind: cpu.ActInstr, Instr: isa.CPUID(1)}
-}
-func (g *cpuidLoop) DeliverIRQ(int) {}
 
 // nestedCPUID runs n cpuid iterations on a nested stack and returns the
 // per-iteration latency, excluding the first (cold) iteration effects by
@@ -42,7 +29,7 @@ func nestedCPUID(t *testing.T, mode hv.Mode, n int) (sim.Time, *Machine, *sim.Le
 	m := NewNested(cfg)
 	led := &sim.Ledger{}
 	m.Eng.SetLedger(led)
-	m.SetL2Workload(&cpuidLoop{n: n})
+	m.SetL2Workload(cpuidLoop(n))
 	m.Run()
 	defer m.Shutdown()
 	if m.L0.DeadlockDetected {
@@ -112,12 +99,12 @@ func TestNestedCPUIDSpeedups(t *testing.T) {
 func TestFigure6Hierarchy(t *testing.T) {
 	// L0 (native) < L1 (single level) < SVt variants < L2 (baseline).
 	const n = 500
-	costs := DefaultConfig(hv.ModeBaseline).Costs
-	native := RunNative(&costs, &cpuidLoop{n: n}) / n
+	// Natively nothing traps: each cpuid costs its instruction latency.
+	native := DefaultConfig(hv.ModeBaseline).Costs.InstrCPUID
 
 	cfg := DefaultConfig(hv.ModeBaseline)
 	ms := NewSingleLevel(cfg)
-	ms.SetGuestWorkload(&cpuidLoop{n: n})
+	ms.SetGuestWorkload(cpuidLoop(n))
 	ms.RunSingle()
 	single := ms.Now() / n
 
@@ -206,11 +193,18 @@ func TestProfileCoversCPUID(t *testing.T) {
 	}
 }
 
-func ExampleRunNative() {
-	costs := DefaultConfig(hv.ModeBaseline).Costs
-	total := RunNative(&costs, &cpuidLoop{n: 3})
-	fmt.Println(total)
-	// Output: 150ns
+// A bare body is the smallest nested workload: no guest kernel, just
+// instructions that trap to the guest hypervisor.
+func ExampleMachine_SetL2Workload() {
+	m := NewNested(DefaultConfig(hv.ModeHWSVt))
+	defer m.Shutdown()
+	var leaf uint64
+	m.SetL2Workload(func(p *cpu.Port) {
+		leaf = p.Exec(isa.CPUID(1)) // L1 emulates it; the result comes back in RAX
+	})
+	m.Run()
+	fmt.Println(leaf != 1, m.L1HV.Prof.Count[isa.ExitCPUID])
+	// Output: true 1
 }
 
 func TestHWSVtBypassExtension(t *testing.T) {
@@ -240,7 +234,7 @@ func TestShadowingAblation(t *testing.T) {
 		cfg := DefaultConfig(hv.ModeBaseline)
 		cfg.DisableVMCSShadowing = disable
 		m := NewNested(cfg)
-		m.SetL2Workload(&cpuidLoop{n: 500})
+		m.SetL2Workload(cpuidLoop(500))
 		m.Run()
 		defer m.Shutdown()
 		return m.Now() / 500, m.Core.Stats.ExitsByReason[isa.ExitVMRead] +
@@ -266,7 +260,7 @@ func TestThunkRegisterSensitivity(t *testing.T) {
 		cfg := DefaultConfig(mode)
 		cfg.Costs.ThunkRegs = regs
 		m := NewNested(cfg)
-		m.SetL2Workload(&cpuidLoop{n: 300})
+		m.SetL2Workload(cpuidLoop(300))
 		m.Run()
 		defer m.Shutdown()
 		return m.Now() / 300

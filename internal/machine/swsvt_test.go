@@ -4,29 +4,10 @@ import (
 	"testing"
 
 	"svtsim/internal/apic"
-	"svtsim/internal/cpu"
 	"svtsim/internal/hv"
-	"svtsim/internal/isa"
 	"svtsim/internal/sim"
 	"svtsim/internal/swsvt"
 )
-
-// ipiCpuidLoop is the §5.3 scenario driver: a nested workload whose VM
-// traps are served by the SVt-thread while, mid-run, an L1 kernel thread
-// sends an IPI to the (blocked) L1 main vCPU and waits for it to be
-// handled.
-type ipiCpuidLoop struct {
-	n, i int
-}
-
-func (g *ipiCpuidLoop) Step() cpu.Action {
-	if g.i >= g.n {
-		return cpu.Action{Kind: cpu.ActDone}
-	}
-	g.i++
-	return cpu.Action{Kind: cpu.ActInstr, Instr: isa.CPUID(1)}
-}
-func (g *ipiCpuidLoop) DeliverIRQ(int) {}
 
 // runBlockedScenario runs the §5.3 interrupt-deadlock scenario and
 // reports whether the IPI to the blocked L1 main vCPU was handled.
@@ -49,7 +30,7 @@ func runBlockedScenario(t *testing.T, protocol bool) (handled bool, blockedEvent
 	m.Eng.At(50*sim.Microsecond, func() {
 		m.L0.InjectIRQ(m.VcpuL1, apic.VecIPI)
 	})
-	m.SetL2Workload(&ipiCpuidLoop{n: 100})
+	m.SetL2Workload(cpuidLoop(100))
 	m.Run()
 	m.Shutdown()
 	return ipiHandled, m.Chan.BlockedEvents.Value()
@@ -85,7 +66,7 @@ func TestSWSVtWaitPolicies(t *testing.T) {
 			cfg.WaitPolicy = pol
 			cfg.Placement = place
 			m := NewNested(cfg)
-			m.SetL2Workload(&ipiCpuidLoop{n: 100})
+			m.SetL2Workload(cpuidLoop(100))
 			m.Run()
 			m.Shutdown()
 			if m.L0.DeadlockDetected {

@@ -17,7 +17,6 @@ package netstack
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"svtsim/internal/fault"
 	"svtsim/internal/sim"
@@ -207,16 +206,6 @@ func (st *Stack) Open(id uint32) *Flow {
 // Flow returns the flow with the given ID, or nil.
 func (st *Stack) Flow(id uint32) *Flow { return st.flows[id] }
 
-// Flows returns all flows, sorted by ID (deterministic iteration).
-func (st *Stack) Flows() []*Flow {
-	out := make([]*Flow, 0, len(st.flows))
-	for _, f := range st.flows {
-		out = append(out, f)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
 func (st *Stack) newFlow(id uint32) *Flow {
 	f := &Flow{
 		S:       st,
@@ -338,9 +327,6 @@ func (f *Flow) BytesQueued() int { return len(f.sndBuf) }
 
 // BytesReadable reports in-order bytes awaiting Consume (manual mode).
 func (f *Flow) BytesReadable() int { return len(f.rcvQ) }
-
-// SendSeq reports the next fresh sequence number (total bytes written).
-func (f *Flow) SendSeq() uint32 { return f.sndUna + uint32(len(f.sndBuf)) }
 
 // RecvSeq reports the next expected in-order byte offset.
 func (f *Flow) RecvSeq() uint32 { return f.rcvNxt }

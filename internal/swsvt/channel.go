@@ -10,7 +10,6 @@ import (
 	"svtsim/internal/isa"
 	"svtsim/internal/obs"
 	"svtsim/internal/sim"
-	"svtsim/internal/vmcs"
 )
 
 // Channel is the SW SVt reflection path (Figure 5): it implements
@@ -524,6 +523,3 @@ func (t *SVtThread) waitPop(p *cpu.Port) Cmd {
 		p.Park(cpu.QualSVtIdle)
 	}
 }
-
-// ReadExitValue is a helper for tests.
-func ReadExitValue(v *vmcs.VMCS) uint64 { return v.Read(vmcs.ExitValueAux) }
