@@ -33,20 +33,23 @@ import (
 // section is one independently renderable chunk of -all output.
 type section struct {
 	name string
-	run  func(io.Writer)
+	run  func(io.Writer) error
 }
 
 // sections assembles the selected report sections in presentation order,
 // each rendered on sess.
 func sections(sess *svtsim.Session, all bool, table, figure int, micro string, profile bool, n int, quick bool, root string) []section {
 	var secs []section
-	add := func(sel bool, name string, run func(io.Writer)) {
+	addErr := func(sel bool, name string, run func(io.Writer) error) {
 		if sel {
 			secs = append(secs, section{name: name, run: run})
 		}
 	}
+	add := func(sel bool, name string, run func(io.Writer)) {
+		addErr(sel, name, func(w io.Writer) error { run(w); return nil })
+	}
 	add(all || table == 1, "table1", func(w io.Writer) { sess.ReportTable1(w, n) })
-	add(all || table == 3, "table3", func(w io.Writer) { sess.ReportTable3(w, root) })
+	addErr(all || table == 3, "table3", func(w io.Writer) error { return sess.ReportTable3(w, root) })
 	add(all || table == 4, "table4", func(w io.Writer) { sess.ReportTable4(w) })
 	add(all || figure == 6, "figure6", func(w io.Writer) { sess.ReportFigure6(w, n) })
 	add(all || figure == 7, "figure7", func(w io.Writer) { sess.ReportFigure7(w, quick) })
@@ -61,16 +64,27 @@ func sections(sess *svtsim.Session, all bool, table, figure int, micro string, p
 // renderAll renders every section concurrently into its own buffer on a
 // pool of the given width, then writes the buffers in presentation order.
 // Sections themselves fan their cells out on their session's pool, so
-// small sections do not serialize behind big ones.
-func renderAll(w io.Writer, workers int, secs []section) {
-	bufs := parallel.MapN(workers, len(secs), func(i int) []byte {
-		var b bytes.Buffer
-		secs[i].run(&b)
-		return b.Bytes()
-	})
-	for _, b := range bufs {
-		w.Write(b)
+// small sections do not serialize behind big ones. It returns the first
+// section error in presentation order, after writing the sections that
+// rendered.
+func renderAll(w io.Writer, workers int, secs []section) error {
+	type out struct {
+		buf []byte
+		err error
 	}
+	outs := parallel.MapN(workers, len(secs), func(i int) out {
+		var b bytes.Buffer
+		err := secs[i].run(&b)
+		return out{b.Bytes(), err}
+	})
+	var first error
+	for _, o := range outs {
+		w.Write(o.buf)
+		if first == nil {
+			first = o.err
+		}
+	}
+	return first
 }
 
 func main() {
@@ -115,7 +129,10 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	renderAll(w, *workers, secs)
+	if err := renderAll(w, *workers, secs); err != nil {
+		fmt.Fprintln(os.Stderr, "svtbench:", err)
+		os.Exit(1)
+	}
 }
 
 // writeTraceArtifact runs one representative experiment — SW-SVt netperf

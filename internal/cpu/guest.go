@@ -18,8 +18,8 @@ import (
 
 // physIRQExit builds the EXTERNAL_INTERRUPT exit if the context's
 // physical LAPIC has a pending vector and the VMCS asks for
-// external-interrupt exiting.
-func (c *Core) physIRQExit(ctx ContextID, v *vmcs.VMCS) *isa.Exit {
+// external-interrupt exiting; otherwise it reports false.
+func (c *Core) physIRQExit(ctx ContextID, v *vmcs.VMCS) (isa.Exit, bool) {
 	// Under SVt, external interrupts are steered to the visor context
 	// (§3.1); otherwise each hardware thread takes its own.
 	irq := ctx
@@ -28,13 +28,13 @@ func (c *Core) physIRQExit(ctx ContextID, v *vmcs.VMCS) *isa.Exit {
 	}
 	l := c.lapics[irq]
 	if l == nil || !l.HasPending() {
-		return nil
+		return isa.Exit{}, false
 	}
 	if v.Read(vmcs.PinControls)&vmcs.PinCtlExtIntExit == 0 {
-		return nil
+		return isa.Exit{}, false
 	}
 	vec, _ := l.PendingVector()
-	return &isa.Exit{Reason: isa.ExitExternalInterrupt, Vector: vec}
+	return isa.Exit{Reason: isa.ExitExternalInterrupt, Vector: vec}, true
 }
 
 // RunGuest enters the guest on ctx under v and executes it until a VM
@@ -42,7 +42,7 @@ func (c *Core) physIRQExit(ctx ContextID, v *vmcs.VMCS) *isa.Exit {
 // paper's hypervisors sit in a loop of RunGuest + handle. The guest's
 // body resumes where its previous exit suspended it; a body that
 // returns ends the session with the QualGuestDone exit.
-func (c *Core) RunGuest(ctx ContextID, v *vmcs.VMCS, g *NativeGuest) *isa.Exit {
+func (c *Core) RunGuest(ctx ContextID, v *vmcs.VMCS, g *NativeGuest) isa.Exit {
 	if g.finished {
 		panic(fmt.Sprintf("cpu: %s resumed after it finished", g.Name))
 	}
@@ -56,7 +56,7 @@ func (c *Core) RunGuest(ctx ContextID, v *vmcs.VMCS, g *NativeGuest) *isa.Exit {
 	defer func() { c.running = prev }()
 	e, ok := g.next()
 	if !ok {
-		e = &isa.Exit{Reason: isa.ExitVMCall, Qualification: QualGuestDone}
+		e = isa.Exit{Reason: isa.ExitVMCall, Qualification: QualGuestDone}
 	}
 	return c.exitGuest(ctx, v, e)
 }
@@ -82,9 +82,9 @@ type NativeGuest struct {
 
 	// next resumes the body until its next exit; stop unwinds it. Both
 	// come from iter.Pull on the first RunGuest.
-	next  func() (*isa.Exit, bool)
+	next  func() (isa.Exit, bool)
 	stop  func()
-	yield func(*isa.Exit) bool
+	yield func(isa.Exit) bool
 }
 
 // NewNativeGuest creates a native guest bound to context ctx of core c.
@@ -122,7 +122,7 @@ func (g *NativeGuest) Kill() {
 
 // run is the guest's coroutine. A killed body unwinds through
 // killSentinel; any other panic propagates to the caller of next.
-func (g *NativeGuest) run(yield func(*isa.Exit) bool) {
+func (g *NativeGuest) run(yield func(isa.Exit) bool) {
 	g.yield = yield
 	defer func() {
 		g.finished = true
@@ -159,7 +159,7 @@ type Port struct {
 // point of §6.1's channel study).
 func (p *Port) Park(qual uint64) {
 	p.guest.parkedIdle = true
-	p.trap(&isa.Exit{Reason: isa.ExitVMCall, Qualification: qual})
+	p.trap(isa.Exit{Reason: isa.ExitVMCall, Qualification: qual})
 	p.guest.parkedIdle = false
 }
 
@@ -218,7 +218,7 @@ func (p *Port) Compute(d sim.Time) {
 			eng.Advance(d)
 			return
 		}
-		if e := p.core.physIRQExit(p.Ctx, p.VM); e != nil {
+		if e, ok := p.core.physIRQExit(p.Ctx, p.VM); ok {
 			p.trap(e)
 		}
 		p.pollVirtIRQ()
@@ -232,14 +232,14 @@ func (p *Port) Compute(d sim.Time) {
 // halting.
 func (p *Port) ExecHLT() {
 	p.core.Eng.DispatchDue()
-	if e := p.core.physIRQExit(p.Ctx, p.VM); e != nil {
+	if e, ok := p.core.physIRQExit(p.Ctx, p.VM); ok {
 		p.trap(e)
 	}
 	if p.VirtLAPIC != nil && p.VirtLAPIC.HasPending() {
 		return
 	}
 	res := p.core.Exec(p.Ctx, p.VM, isa.HLT())
-	if res.Exit != nil {
+	if res.Exit.Reason != isa.ExitNone {
 		p.trap(res.Exit)
 	}
 }
@@ -251,11 +251,11 @@ func (p *Port) ExecHLT() {
 func (p *Port) Exec(in isa.Instr) uint64 {
 	p.core.Eng.DispatchDue()
 	p.pollVirtIRQ()
-	if e := p.core.physIRQExit(p.Ctx, p.VM); e != nil {
+	if e, ok := p.core.physIRQExit(p.Ctx, p.VM); ok {
 		p.trap(e)
 	}
 	res := p.core.Exec(p.Ctx, p.VM, in)
-	if res.Exit != nil {
+	if res.Exit.Reason != isa.ExitNone {
 		p.trap(res.Exit)
 		return p.core.ReadGPR(p.Ctx, isa.RAX)
 	}
@@ -265,7 +265,7 @@ func (p *Port) Exec(in isa.Instr) uint64 {
 // trap suspends the guest, surfacing e as the VM exit of the current
 // RunGuest session. Only the running guest can trap on its own port; a
 // trap from any other context is a wiring bug and fails closed.
-func (p *Port) trap(e *isa.Exit) {
+func (p *Port) trap(e isa.Exit) {
 	if r := p.core.running; r != p {
 		who := "no guest"
 		if r != nil {

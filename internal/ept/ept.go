@@ -141,18 +141,45 @@ func (t *Table) DeviceAt(gpa uint64) (uint64, bool) {
 	return 0, false
 }
 
-// Translate walks the table for a single access at gpa needing perm
-// permissions, returning the host-physical address.
-func (t *Table) Translate(gpa uint64, need Perm) (uint64, error) {
+// Fault classifies the outcome of a walk.
+type Fault uint8
+
+// Walk outcomes.
+const (
+	NoFault        Fault = iota // translated
+	FaultMisconfig              // gpa lies in a device window
+	FaultViolation              // unmapped, or mapped without the needed permissions
+)
+
+// Walk walks the table for a single access at gpa needing perm
+// permissions. It returns the host-physical address, or, for
+// FaultMisconfig, the device owning gpa. It is Translate without the
+// error values: the instruction path takes a device-window fault on
+// nearly every MMIO access and must not allocate one.
+func (t *Table) Walk(gpa uint64, need Perm) (hpa, dev uint64, f Fault) {
 	t.walkCnt++
 	if dev, ok := t.DeviceAt(gpa); ok {
-		return 0, &MisconfigError{GPA: gpa, Dev: dev}
+		return 0, dev, FaultMisconfig
 	}
 	e, ok := t.pages[gpa/mem.PageSize]
 	if !ok || e.perm&need != need {
+		return 0, 0, FaultViolation
+	}
+	return e.hostPage*mem.PageSize + gpa%mem.PageSize, 0, NoFault
+}
+
+// Translate walks the table for a single access at gpa needing perm
+// permissions, returning the host-physical address, a *MisconfigError
+// or a *ViolationError.
+func (t *Table) Translate(gpa uint64, need Perm) (uint64, error) {
+	hpa, dev, f := t.Walk(gpa, need)
+	switch f {
+	case FaultMisconfig:
+		return 0, &MisconfigError{GPA: gpa, Dev: dev}
+	case FaultViolation:
 		return 0, &ViolationError{GPA: gpa, Need: need}
 	}
-	return e.hostPage*mem.PageSize + gpa%mem.PageSize, nil
+	return hpa, nil
 }
 
 // Invalidate models INVEPT: it bumps the epoch so that any cached

@@ -95,7 +95,7 @@ type SWChannel interface {
 	// ReflectAndWait reports whether the exit was serviced over the
 	// channel; false degrades this exit to the baseline trap/resume path
 	// (the channel's watchdog gave up or its breaker is open).
-	ReflectAndWait(vc *VCPU, e *isa.Exit) bool
+	ReflectAndWait(vc *VCPU, e isa.Exit) bool
 	// PendingForL1 reports whether the SVt-thread has interrupts waiting,
 	// so external-interrupt exits get reflected even though the (blocked)
 	// L1 main vCPU shows nothing pending.
@@ -228,7 +228,7 @@ type Hypervisor struct {
 	// the exit itself instead of delivering it — a deliberately broken
 	// reflection the equivalence oracle must catch. Never set in
 	// production paths.
-	DropOwnedExit func(e *isa.Exit) bool
+	DropOwnedExit func(e isa.Exit) bool
 
 	Prof Profile
 	// NestedProf attributes L0 handling time to the nested guest's exit
@@ -320,14 +320,14 @@ func (h *Hypervisor) RunLoop(vc *VCPU) {
 
 // advanceRIP moves the guest's instruction pointer past the emulated
 // instruction. Under VMCS shadowing these accesses do not trap at L1.
-func (h *Hypervisor) advanceRIP(vc *VCPU, e *isa.Exit) {
+func (h *Hypervisor) advanceRIP(vc *VCPU, e isa.Exit) {
 	rip := h.P.VMRead(vc.VMCS, vmcs.GuestRIP)
 	h.P.VMWrite(vc.VMCS, vmcs.GuestRIP, rip+e.InstrLen)
 }
 
 // Handle dispatches one VM exit. It reports whether the run loop should
 // stop.
-func (h *Hypervisor) Handle(vc *VCPU, e *isa.Exit) bool {
+func (h *Hypervisor) Handle(vc *VCPU, e isa.Exit) bool {
 	// Dispatch and lazy-switch costs (§2.3; Table 1 folds lazy context
 	// switching into the handler stages — SVt eliminates it).
 	if h.Level == 0 {
@@ -378,7 +378,7 @@ func (h *Hypervisor) Handle(vc *VCPU, e *isa.Exit) bool {
 	return false
 }
 
-func (h *Hypervisor) emulCPUID(vc *VCPU, e *isa.Exit) {
+func (h *Hypervisor) emulCPUID(vc *VCPU, e isa.Exit) {
 	leaf := h.P.ReadGuestGPR(vc, isa.RAX)
 	h.P.Charge(h.Costs.EmulCPUID)
 	// Deterministic synthetic leaf contents.
@@ -389,7 +389,7 @@ func (h *Hypervisor) emulCPUID(vc *VCPU, e *isa.Exit) {
 	h.advanceRIP(vc, e)
 }
 
-func (h *Hypervisor) emulMSRWrite(vc *VCPU, e *isa.Exit) {
+func (h *Hypervisor) emulMSRWrite(vc *VCPU, e isa.Exit) {
 	addr := uint32(e.Qualification)
 	h.P.Charge(h.Costs.EmulMSR)
 	vc.msrStore[addr] = e.Value
@@ -402,14 +402,14 @@ func (h *Hypervisor) emulMSRWrite(vc *VCPU, e *isa.Exit) {
 	h.advanceRIP(vc, e)
 }
 
-func (h *Hypervisor) emulMSRRead(vc *VCPU, e *isa.Exit) {
+func (h *Hypervisor) emulMSRRead(vc *VCPU, e isa.Exit) {
 	addr := uint32(e.Qualification)
 	h.P.Charge(h.Costs.EmulMSR)
 	h.P.WriteGuestGPR(vc, isa.RAX, vc.msrStore[addr])
 	h.advanceRIP(vc, e)
 }
 
-func (h *Hypervisor) emulMMIO(vc *VCPU, e *isa.Exit) {
+func (h *Hypervisor) emulMMIO(vc *VCPU, e isa.Exit) {
 	dev := h.Devices[e.Qualification]
 	if dev == nil {
 		panic(fmt.Sprintf("%s: EPT misconfig for unknown device %d at %#x", h.Name, e.Qualification, e.GuestPA))
@@ -423,7 +423,7 @@ func (h *Hypervisor) emulMMIO(vc *VCPU, e *isa.Exit) {
 	h.advanceRIP(vc, e)
 }
 
-func (h *Hypervisor) handleHalt(vc *VCPU, e *isa.Exit) bool {
+func (h *Hypervisor) handleHalt(vc *VCPU, e isa.Exit) bool {
 	vc.Halted = true
 	defer func() { vc.Halted = false }()
 	h.P.Charge(h.Costs.EmulIRQWindow)
@@ -448,7 +448,7 @@ func (h *Hypervisor) handleHalt(vc *VCPU, e *isa.Exit) bool {
 // dispatch: device completion processing and routing to guest vCPUs. At
 // L1 the dispatch happens through the kernel IRQ poll instead, since the
 // vector already sits in L1's virtual LAPIC.
-func (h *Hypervisor) handleExtInt(vc *VCPU, e *isa.Exit) {
+func (h *Hypervisor) handleExtInt(vc *VCPU, e isa.Exit) {
 	h.P.Charge(h.Costs.IRQAck)
 	h.P.AckIRQ(vc, e.Vector)
 	if h.Level == 0 {
@@ -458,7 +458,7 @@ func (h *Hypervisor) handleExtInt(vc *VCPU, e *isa.Exit) {
 	}
 }
 
-func (h *Hypervisor) handleVMCall(vc *VCPU, e *isa.Exit) bool {
+func (h *Hypervisor) handleVMCall(vc *VCPU, e isa.Exit) bool {
 	switch e.Qualification {
 	case cpu.QualGuestDone:
 		return true

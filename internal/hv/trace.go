@@ -13,7 +13,7 @@ func (h *Hypervisor) SetObs(t *obs.Tracer) { h.obs = t }
 
 // traceExit records vc's handled exit e as a span of the given kind
 // from start to now.
-func (h *Hypervisor) traceExit(vc *VCPU, kind obs.Kind, e *isa.Exit, start sim.Time) {
+func (h *Hypervisor) traceExit(vc *VCPU, kind obs.Kind, e isa.Exit, start sim.Time) {
 	if h.obs == nil {
 		return
 	}

@@ -54,7 +54,9 @@ func (r ExitReason) String() string {
 // hardware most of these live in VMCS exit-information fields; carrying
 // them in one struct models the "minimal bootstrap state" the paper
 // describes, while field-level accesses (and their traps at L1) are still
-// performed through VMREAD/VMWRITE.
+// performed through VMREAD/VMWRITE. An Exit is a value: it travels by
+// copy from the trapping instruction to the handler, and the zero value
+// (Reason ExitNone) means "no exit".
 type Exit struct {
 	Reason        ExitReason
 	Qualification uint64 // reason-specific (MSR address, port, CR number…)
@@ -64,9 +66,6 @@ type Exit struct {
 	Value         uint64 // write payload (WRMSR/MMIO write emulation)
 }
 
-func (e *Exit) String() string {
-	if e == nil {
-		return "<nil exit>"
-	}
+func (e Exit) String() string {
 	return fmt.Sprintf("%s(qual=%#x gpa=%#x vec=%d)", e.Reason, e.Qualification, e.GuestPA, e.Vector)
 }

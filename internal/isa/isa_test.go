@@ -1,6 +1,10 @@
 package isa
 
-import "testing"
+import (
+	"fmt"
+	"strings"
+	"testing"
+)
 
 func TestRegStrings(t *testing.T) {
 	if RAX.String() != "rax" || R15.String() != "r15" || RIP.String() != "rip" {
@@ -65,13 +69,13 @@ func TestExitReasonStrings(t *testing.T) {
 }
 
 func TestExitString(t *testing.T) {
-	var e *Exit
-	if e.String() != "<nil exit>" {
-		t.Fatal("nil exit render")
+	var e Exit
+	if got := e.String(); !strings.HasPrefix(got, "NONE(") {
+		t.Fatalf("zero exit renders %q, want the NONE reason", got)
 	}
-	e = &Exit{Reason: ExitCPUID, Qualification: 7}
-	if e.String() == "" {
-		t.Fatal("exit render empty")
+	e = Exit{Reason: ExitCPUID, Qualification: 7}
+	if got := fmt.Sprintf("%v", e); !strings.HasPrefix(got, "CPUID(qual=0x7") {
+		t.Fatalf("exit renders %q", got)
 	}
 }
 

@@ -2,6 +2,7 @@ package report
 
 import (
 	"bytes"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -21,7 +22,9 @@ func TestTable1Renders(t *testing.T) {
 
 func TestTable3CountsRealSource(t *testing.T) {
 	var b bytes.Buffer
-	NewRenderer(exp.NewSession()).Table3(&b, "../..")
+	if err := NewRenderer(exp.NewSession()).Table3(&b, "../.."); err != nil {
+		t.Fatal(err)
+	}
 	out := b.String()
 	if !strings.Contains(out, "KVM analogue") {
 		t.Fatal("table 3 rows missing")
@@ -29,6 +32,23 @@ func TestTable3CountsRealSource(t *testing.T) {
 	// The KVM-analogue row must count thousands of lines from real source.
 	if strings.Contains(out, "hypervisor, SVt core)          0") {
 		t.Fatal("line counting found nothing")
+	}
+}
+
+// A root without the sources fails and names the missing directory
+// instead of printing zero lines of code.
+func TestTable3MissingRootFails(t *testing.T) {
+	var b bytes.Buffer
+	root := filepath.Join(t.TempDir(), "no-such-checkout")
+	err := NewRenderer(exp.NewSession()).Table3(&b, root)
+	if err == nil {
+		t.Fatalf("want an error, got output:\n%s", b.String())
+	}
+	if want := filepath.Join(root, "internal/virtio"); !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q does not name %s", err, want)
+	}
+	if b.Len() != 0 {
+		t.Fatalf("failed table 3 wrote:\n%s", b.String())
 	}
 }
 

@@ -139,7 +139,7 @@ func TestMSRBitmap(t *testing.T) {
 
 func TestRecordLoadExitRoundTrip(t *testing.T) {
 	v := New("x")
-	e := &isa.Exit{
+	e := isa.Exit{
 		Reason:        isa.ExitMSRWrite,
 		Qualification: uint64(isa.MSRTSCDeadline),
 		InstrLen:      2,
@@ -251,7 +251,7 @@ func TestToPhysicalForcedControls(t *testing.T) {
 
 func TestToVirtualReflectsExitInfo(t *testing.T) {
 	v02, v12 := New("vmcs02"), New("vmcs12")
-	v02.RecordExit(&isa.Exit{Reason: isa.ExitCPUID, InstrLen: 2})
+	v02.RecordExit(isa.Exit{Reason: isa.ExitCPUID, InstrLen: 2})
 	v02.Write(GuestRIP, 0x999)
 	v12.Write(ProcControls, 0xDEAD) // L1's own controls must survive
 	st := ToVirtual(v12, v02)

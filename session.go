@@ -297,8 +297,9 @@ func (s *Session) LoadBalancerSweep(modes []Mode, k int, seed int64, sloUs float
 func (s *Session) ReportTable1(w io.Writer, n int) { s.rep.Table1(w, n) }
 
 // ReportTable3 prints the code-change inventory (Table 3 analogue),
-// counting source lines under the repository root.
-func (s *Session) ReportTable3(w io.Writer, root string) { s.rep.Table3(w, root) }
+// counting source lines under the repository root. It fails, writing
+// nothing, when a counted source directory is missing under root.
+func (s *Session) ReportTable3(w io.Writer, root string) error { return s.rep.Table3(w, root) }
 
 // ReportTable4 prints the modelled machine parameters (Table 4).
 func (s *Session) ReportTable4(w io.Writer) { s.rep.Table4(w) }

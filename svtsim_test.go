@@ -53,7 +53,9 @@ func TestReportsRender(t *testing.T) {
 		t.Fatal("table 4 render")
 	}
 	b.Reset()
-	sess.ReportTable3(&b, ".")
+	if err := sess.ReportTable3(&b, "."); err != nil {
+		t.Fatal(err)
+	}
 	if !strings.Contains(b.String(), "KVM analogue") {
 		t.Fatal("table 3 render")
 	}
