@@ -26,7 +26,7 @@ type State struct {
 
 // SaveState captures the table content.
 func (t *Table) SaveState() State {
-	s := State{Epoch: t.epoch}
+	s := State{Pages: make([]PageState, 0, len(t.pages)), Epoch: t.epoch}
 	for gfn, e := range t.pages {
 		s.Pages = append(s.Pages, PageState{GFN: gfn, HostPage: e.hostPage, Perm: e.perm})
 	}

@@ -11,7 +11,7 @@ package server
 //	GET  /v1/jobs/{id}/stream            progress as NDJSON (SSE on Accept)
 //	GET  /v1/jobs/{id}/artifacts/{name}  rendered obs artifacts
 //	GET  /v1/cache                       cache stats
-//	GET  /v1/metrics                     endpoint + cache metrics (JSON/CSV)
+//	GET  /v1/metrics                     endpoint, cache and job-panic metrics (JSON/CSV)
 //	GET  /v1/healthz                     liveness + drain state
 //
 // Admission control: a submit that misses the cache and coalesces with
@@ -30,6 +30,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"svtsim/internal/obs"
@@ -84,6 +85,10 @@ type Server struct {
 
 	queue chan *job
 	wg    sync.WaitGroup
+
+	// panics counts jobs failed by a recovered simulation panic;
+	// /v1/metrics exports it as jobs.panics.
+	panics atomic.Uint64
 
 	// runHook, when set, runs inside the worker before the simulation;
 	// an error fails the job. Tests use it to block or fail jobs on cue.
@@ -170,6 +175,7 @@ func (s *Server) runJob(j *job) {
 		// and simulation panics already name the seed that replays them.
 		defer func() {
 			if r := recover(); r != nil {
+				s.panics.Add(1)
 				err = fmt.Errorf("server: simulation panicked: %v", r)
 			}
 		}()
@@ -524,6 +530,7 @@ func (s *Server) metricsRegistry() *obs.Registry {
 		reg.Gauge("cache.entries").Set(float64(cs.Entries))
 		reg.Gauge("cache.bytes").Set(float64(cs.Bytes))
 		reg.Gauge("cache.oldest_age_ms").Set(float64(cs.OldestAgeMs))
+		reg.Counter("jobs.panics").Add(s.panics.Load())
 	})
 }
 

@@ -270,10 +270,33 @@ func TestDrainFinishesAcceptedJobs(t *testing.T) {
 	}
 }
 
+// metric reads one value from the server's /v1/metrics JSON.
+func metric(t *testing.T, c *Client, name string) float64 {
+	t.Helper()
+	resp, err := http.Get(c.BaseURL + "/v1/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var m map[string]float64
+	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+		t.Fatal(err)
+	}
+	v, ok := m[name]
+	if !ok {
+		t.Fatalf("metrics have no %q", name)
+	}
+	return v
+}
+
 // TestPanicFailsJob: a simulation that panics fails its own job with
-// the panic message, and the same server goes on serving requests.
+// the panic message, the same server goes on serving requests, and
+// /v1/metrics counts the panic.
 func TestPanicFailsJob(t *testing.T) {
 	s, c := newTestServer(t, Config{Workers: 1})
+	if n := metric(t, c, "jobs.panics"); n != 0 {
+		t.Fatalf("fresh server reports jobs.panics %v, want 0", n)
+	}
 	s.runHook = func(ctx context.Context, req *Request) error {
 		if req.Seed == 13 {
 			panic("exp: run failed (seed=13): boom")
@@ -299,6 +322,9 @@ func TestPanicFailsJob(t *testing.T) {
 	}
 	if _, err := c.Run(ctx, smallStorm(), nil); err != nil {
 		t.Fatalf("second request after a panic: %v", err)
+	}
+	if n := metric(t, c, "jobs.panics"); n != 1 {
+		t.Fatalf("jobs.panics %v after one panicking job, want 1", n)
 	}
 }
 

@@ -100,6 +100,7 @@ func plan(m *machine.Machine, io *machine.IOStack) []entry {
 	if io != nil && io.Disk != nil {
 		add("blk/disk", func(w *writer) {
 			st := io.Disk.SaveState()
+			w.grow(pagesWords(len(st.Pages)) + 1)
 			putPages(w, st.Pages)
 			w.time(st.BusyUntil)
 		}, func(r *reader) {
@@ -150,8 +151,9 @@ func plan(m *machine.Machine, io *machine.IOStack) []entry {
 // Capture serializes the machine's architectural state. io may be nil
 // (or an empty stack) for machines without wired I/O.
 func Capture(m *machine.Machine, io *machine.IOStack) *Snapshot {
-	snap := &Snapshot{}
-	for _, e := range plan(m, io) {
+	es := plan(m, io)
+	snap := &Snapshot{Sections: make([]Section, 0, len(es))}
+	for _, e := range es {
 		w := &writer{}
 		e.save(w)
 		snap.Sections = append(snap.Sections, Section{Name: e.name, Words: w.words})
@@ -378,6 +380,7 @@ func getVMCS(r *reader, v *vmcs.VMCS) {
 
 func putEPT(w *writer, t *ept.Table) {
 	st := t.SaveState()
+	w.grow(3 + 3*len(st.Pages) + 3*len(st.Devs))
 	w.word(uint64(len(st.Pages)))
 	for _, p := range st.Pages {
 		w.word(p.GFN)
@@ -395,7 +398,9 @@ func putEPT(w *writer, t *ept.Table) {
 
 func getEPT(r *reader, t *ept.Table) {
 	var st ept.State
-	for i, n := 0, r.count(3); i < n; i++ {
+	n := r.count(3)
+	st.Pages = make([]ept.PageState, 0, n)
+	for i := 0; i < n; i++ {
 		st.Pages = append(st.Pages, ept.PageState{GFN: r.word(), HostPage: r.word(), Perm: ept.Perm(r.word())})
 	}
 	for i, n := 0, r.count(3); i < n; i++ {
@@ -455,7 +460,12 @@ func getVCPU(r *reader, vc *hv.VCPU) {
 
 const wordsPerPage = mem.PageSize / 8
 
+// pagesWords is the length of a page set's encoding: a count word, then
+// an index word and the contents of each page.
+func pagesWords(n int) int { return 1 + n*(1+wordsPerPage) }
+
 func putPages(w *writer, pages []mem.Page) {
+	w.grow(pagesWords(len(pages)))
 	w.word(uint64(len(pages)))
 	for i := range pages {
 		w.word(pages[i].Index)

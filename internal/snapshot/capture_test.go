@@ -2,6 +2,7 @@ package snapshot_test
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -211,5 +212,45 @@ func TestRestoreRejectsMalformedSnapshots(t *testing.T) {
 	}
 	if got := snapshot.Capture(m, io).Digest(); got != snap.Digest() {
 		t.Fatal("machine did not recover its original state")
+	}
+}
+
+// allocRatio is the bytes one call of f allocates, as a multiple of
+// image bytes. f runs once to warm up before the measured call.
+func allocRatio(f func(), image int) float64 {
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(image)
+}
+
+// TestCaptureAllocsPinned pins what capture and restore allocate per
+// image byte. Each page-set section is reserved once at its final
+// length; a section grown by append instead allocates several times
+// its own size and fails the pin.
+func TestCaptureAllocsPinned(t *testing.T) {
+	const maxCapture, maxRestore = 2.2, 3.3
+	for _, mode := range hv.AllModes() {
+		t.Run(mode.String(), func(t *testing.T) {
+			m, io := diskMachine(t, mode, 0x66, 3)
+			defer m.Shutdown()
+			snap := snapshot.Capture(m, io)
+			image := snap.Bytes()
+			capture := allocRatio(func() { snapshot.Capture(m, io) }, image)
+			restore := allocRatio(func() {
+				if err := snapshot.Restore(m, io, snap); err != nil {
+					t.Fatal(err)
+				}
+			}, image)
+			t.Logf("image %d bytes: capture allocates %.2fx, restore %.2fx", image, capture, restore)
+			if capture > maxCapture {
+				t.Errorf("capture allocates %.2fx the image's %d bytes, want <= %.2fx", capture, image, maxCapture)
+			}
+			if restore > maxRestore {
+				t.Errorf("restore allocates %.2fx the image's %d bytes, want <= %.2fx", restore, image, maxRestore)
+			}
+		})
 	}
 }

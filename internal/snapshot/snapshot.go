@@ -109,6 +109,18 @@ type writer struct {
 	words []uint64
 }
 
+// grow reserves room for n more words, so a section whose length is
+// known up front is allocated once instead of doubling as it fills.
+// slices.Grow would do, but race-instrumented builds compile its
+// append-of-make as a real make and allocate the section twice.
+func (w *writer) grow(n int) {
+	if cap(w.words)-len(w.words) < n {
+		ws := make([]uint64, len(w.words), len(w.words)+n)
+		copy(ws, w.words)
+		w.words = ws
+	}
+}
+
 func (w *writer) word(x uint64)   { w.words = append(w.words, x) }
 func (w *writer) time(t sim.Time) { w.word(uint64(t)) }
 func (w *writer) boolWord(b bool) { w.word(boolTo(b)) }

@@ -116,16 +116,4 @@ func (v *VMCS) RecordExit(e isa.Exit) {
 	v.Write(ExitValueAux, e.Value)
 }
 
-// LoadExit reconstructs an exit record from the exit-information fields.
-func (v *VMCS) LoadExit() isa.Exit {
-	return isa.Exit{
-		Reason:        isa.ExitReason(v.Read(ExitReasonF)),
-		Qualification: v.Read(ExitQualification),
-		InstrLen:      v.Read(ExitInstrLen),
-		GuestPA:       v.Read(GuestPhysAddr),
-		Vector:        int(uint32(v.Read(ExitIntrInfo))),
-		Value:         v.Read(ExitValueAux),
-	}
-}
-
 func (v *VMCS) String() string { return fmt.Sprintf("VMCS(%s)", v.Name) }

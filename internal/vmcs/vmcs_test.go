@@ -145,12 +145,23 @@ func TestRecordLoadExitRoundTrip(t *testing.T) {
 		InstrLen:      2,
 		GuestPA:       0xFE001000,
 		Vector:        33,
+		Value:         0x1234,
 	}
 	v.RecordExit(e)
-	got := v.LoadExit()
-	if got.Reason != e.Reason || got.Qualification != e.Qualification ||
-		got.InstrLen != e.InstrLen || got.GuestPA != e.GuestPA || got.Vector != e.Vector {
-		t.Fatalf("round trip mismatch: %+v vs %+v", got, e)
+	for _, c := range []struct {
+		f    Field
+		want uint64
+	}{
+		{ExitReasonF, uint64(e.Reason)},
+		{ExitQualification, e.Qualification},
+		{ExitInstrLen, e.InstrLen},
+		{GuestPhysAddr, e.GuestPA},
+		{ExitIntrInfo, uint64(e.Vector)},
+		{ExitValueAux, e.Value},
+	} {
+		if got := v.Read(c.f); got != c.want {
+			t.Errorf("field %v reads %#x after RecordExit, want %#x", c.f, got, c.want)
+		}
 	}
 }
 
